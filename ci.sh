@@ -58,4 +58,10 @@ cargo run --release --quiet --example serve -- --workers 4 --timing banked
 echo "==> qnn serve smoke (examples/serve.rs --qnn: streamed inference bit-identical to the host oracle)"
 cargo run --release --quiet --example serve -- --qnn --workers 4
 
+echo "==> bench harness smoke (writes BENCH_*.json incl. BENCH_cluster.json)"
+PLUTO_QUICK=1 cargo bench -p pluto-bench --bench simulator --bench session --bench cluster
+
+echo "==> end-to-end benchmark crate (benchmark/ is its own workspace: build it against the current public API and run its unit tests)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> CI green"

@@ -73,9 +73,6 @@ pub struct Controller {
     high_cursor: u16,
     next_pluto_subarray: u16,
     slot_bits: u32,
-    /// Segment-farming policy applied to partitioned stores as they are
-    /// allocated (see [`crate::partition::FarmPolicy`]).
-    farm: Option<crate::partition::FarmPolicy>,
     /// Query scratch buffers reused across `pluto_op` chunks (the op's
     /// output lives in DRAM; the unpacked output vector is never needed).
     scratch: QueryScratch,
@@ -127,7 +124,6 @@ impl Controller {
             high_cursor: rows - 5,
             next_pluto_subarray: 1,
             slot_bits: 8,
-            farm: None,
             scratch: QueryScratch::new(),
         })
     }
@@ -141,16 +137,6 @@ impl Controller {
     /// The design the controller drives.
     pub fn design(&self) -> DesignKind {
         self.design
-    }
-
-    /// Applies a segment-farming policy to every partitioned store this
-    /// controller allocates from now on (and to those already allocated).
-    /// See [`crate::partition::FarmPolicy`] for the determinism contract.
-    pub fn set_segment_farming(&mut self, policy: Option<crate::partition::FarmPolicy>) {
-        self.farm = policy;
-        for store in self.sa_regs.values_mut() {
-            store.set_farming(policy);
-        }
     }
 
     /// Read access to the underlying engine (for cost/stats inspection).
@@ -355,13 +341,12 @@ impl Controller {
         // pair for a LUT that fits a subarray, one pair per §5.6 segment
         // for a LUT that exceeds `rows_per_subarray` (masters stay
         // adjacent for 1-hop GSA reloads either way).
-        let mut store = PlutoStore::load(
+        let store = PlutoStore::load(
             &mut self.engine,
             lut,
             self.bank,
             SubarrayId(self.next_pluto_subarray),
         )?;
-        store.set_farming(self.farm);
         self.next_pluto_subarray += store.subarrays_claimed();
         self.sa_regs.insert(dst, store);
         Ok(())

@@ -84,7 +84,7 @@ pub use design::{DesignKind, DesignModel};
 pub use error::PlutoError;
 pub use library::{MapResult, PlutoMachine};
 pub use lut::Lut;
-pub use partition::{FarmPolicy, PartitionedCost, PartitionedLut, PlutoStore};
+pub use partition::{PartitionedCost, PartitionedLut, PlutoStore};
 pub use plan::PlanStats;
 pub use query::{QueryCost, QueryExecutor, QueryPlacement, QueryScratch};
 pub use serve::{QueryReply, QuerySpec, ServeConfig, Server, Ticket};
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::error::PlutoError;
     pub use crate::library::{MapResult, PlutoMachine};
     pub use crate::lut::{catalog, Lut};
-    pub use crate::partition::{FarmPolicy, PartitionedCost, PartitionedLut, PlutoStore};
+    pub use crate::partition::{PartitionedCost, PartitionedLut, PlutoStore};
     pub use crate::query::{QueryCost, QueryExecutor, QueryPlacement};
     pub use crate::serve::{QueryReply, QuerySpec, ServeConfig, Server, Ticket};
     pub use crate::session::{CostReport, ExecConfig, Session, SessionBuilder, Workload};

@@ -71,9 +71,6 @@ pub struct PlutoMachine {
     next_pluto: u16,
     bank: BankId,
     data_sa: SubarrayId,
-    /// Segment-farming policy applied to partitioned stores as they are
-    /// created (see [`crate::partition::FarmPolicy`]).
-    farm: Option<crate::partition::FarmPolicy>,
 }
 
 impl PlutoMachine {
@@ -109,7 +106,6 @@ impl PlutoMachine {
             next_pluto: 1,
             bank: BankId(0),
             data_sa: SubarrayId(0),
-            farm: None,
         })
     }
 
@@ -159,17 +155,6 @@ impl PlutoMachine {
     /// Resets the aggregate counters.
     pub fn reset_totals(&mut self) {
         self.totals = AggregateCost::default();
-    }
-
-    /// Applies a segment-farming policy ([`crate::partition::FarmPolicy`])
-    /// to every partitioned store on the fast path — those already cached
-    /// and those created by later calls. The policy survives
-    /// [`PlutoMachine::reset`] (it is configuration, not run state).
-    pub fn set_segment_farming(&mut self, policy: Option<crate::partition::FarmPolicy>) {
-        self.farm = policy;
-        for store in self.stores.values_mut() {
-            store.set_farming(policy);
-        }
     }
 
     /// Pins a LUT resident on the machine ahead of its first query,
@@ -265,13 +250,12 @@ impl PlutoMachine {
                 None => break,
             }
         }
-        let mut store = PlutoStore::load(
+        let store = PlutoStore::load(
             &mut self.engine,
             lut.clone(),
             self.bank,
             SubarrayId(self.next_pluto),
         )?;
-        store.set_farming(self.farm);
         self.next_pluto += store.subarrays_claimed();
         self.stores.insert(key.clone(), store);
         Ok(key)

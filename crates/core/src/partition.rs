@@ -45,15 +45,9 @@
 //!   exact order the per-segment [`QueryExecutor`] did, so the cost is
 //!   bit-identical to the retained serial reference
 //!   ([`PartitionedLut::query_serial_reference`], locked down by
-//!   `tests/partition_fused.rs`).
-//! * **Segment farming (opt-in).** For large segment counts the lane
-//!   *cost replay* itself dominates; [`FarmPolicy`] shards it across
-//!   worker threads using [`pluto_dram::LaneClock`] forks, merged back
-//!   deterministically in segment order. Outputs, latency, and command
-//!   counters are exact; energy folds as one per-lane subtotal, so it is
-//!   deterministic but may differ from the serial fold in the last float
-//!   bit — which is why farming is opt-in and excluded from the
-//!   bit-identity suite.
+//!   `tests/partition_fused.rs`). This serial-lane issue is the one
+//!   partitioned lane path; a warm lane replays its compiled plan tape
+//!   (`crate::plan`) on the same engine clock instead of re-issuing.
 //!
 //! [`PlutoStore`] wraps the single-subarray and partitioned stores behind
 //! one query interface, which is how [`crate::library::PlutoMachine`] and
@@ -68,31 +62,7 @@ use crate::lut::{pack_slots_into, slots_per_row, unpack_slots_into, Lut};
 use crate::plan::{self, PlanKey, PlanShape};
 use crate::query::{QueryExecutor, QueryPlacement, QueryScratch};
 use crate::store::LutStore;
-use pluto_dram::{
-    BankId, Engine, LaneOutcome, PicoJoules, Picos, RowId, RowLoc, SubarrayId, SweepStepKind,
-};
-
-/// Opt-in policy for farming one partitioned query's per-segment cost
-/// lanes across worker threads (see the module docs for the determinism
-/// contract: exact latency/stats/outputs, energy deterministic but folded
-/// per lane).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FarmPolicy {
-    /// Farm only queries with at least this many segments (below the
-    /// threshold, thread startup costs more than the lane replay).
-    pub min_segments: usize,
-    /// Worker threads; `0` means one per available core.
-    pub workers: usize,
-}
-
-impl Default for FarmPolicy {
-    fn default() -> Self {
-        FarmPolicy {
-            min_segments: 32,
-            workers: 0,
-        }
-    }
-}
+use pluto_dram::{BankId, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId, SweepStepKind};
 
 /// How the query's input vector arrives (the one routing layer behind
 /// [`PlutoStore::query_with`] / [`PlutoStore::query_resident_with`]).
@@ -109,7 +79,6 @@ pub struct PartitionedLut {
     lut: Lut,
     segments: Vec<LutStore>,
     segment_rows: usize,
-    farm: Option<FarmPolicy>,
     /// Whether serially issued lanes may use the compiled-plan cache
     /// (`crate::plan`); disabled on differential-oracle partitions.
     use_plans: bool,
@@ -215,7 +184,6 @@ impl PartitionedLut {
             lut,
             segments,
             segment_rows,
-            farm: None,
             use_plans: true,
             local: Vec::new(),
             merged: Vec::new(),
@@ -247,20 +215,6 @@ impl PartitionedLut {
     /// The bank holding every segment.
     pub fn bank(&self) -> BankId {
         self.segments[0].bank()
-    }
-
-    /// The active segment-farming policy, if any.
-    pub fn farming(&self) -> Option<FarmPolicy> {
-        self.farm
-    }
-
-    /// Enables (`Some`) or disables (`None`) farming this partition's
-    /// per-segment cost lanes across worker threads. See the module docs:
-    /// outputs, latency, and command counters stay exact; energy folds
-    /// per lane, so it is deterministic but not bit-identical to the
-    /// serial fold.
-    pub fn set_farming(&mut self, policy: Option<FarmPolicy>) {
-        self.farm = policy;
     }
 
     /// Enables or disables the compiled-plan cache for serially issued
@@ -371,8 +325,8 @@ impl PartitionedLut {
     /// The fused single-pass query behind both entry points: one gather
     /// over the parent element table produces the merged outputs, one
     /// pack each for the source/destination rows, and each segment's
-    /// command stream is issued as a parallel lane (serially on the
-    /// engine, or farmed across threads under a [`FarmPolicy`]).
+    /// command stream is issued as a parallel lane on the engine
+    /// (`issue_lanes_serial`, the one partitioned lane path).
     #[allow(clippy::too_many_arguments)]
     fn query_fused(
         &mut self,
@@ -437,16 +391,7 @@ impl PartitionedLut {
         // vector is what the destination row holds when the last lane's
         // RBM lands).
         pack_slots_into(&self.merged, slot_bits, row_bytes, &mut self.row)?;
-        let farm = self.farm.filter(|p| {
-            self.segments.len() >= p.min_segments.max(1)
-                && (design.reload_per_query() || self.segments.iter().all(LutStore::is_loaded))
-        });
-        match farm {
-            Some(policy) => {
-                self.issue_lanes_farmed(engine, design, source, dest, dst_row, policy)?
-            }
-            None => self.issue_lanes_serial(engine, design, source, dest, src_loc, dst_row)?,
-        }
+        self.issue_lanes_serial(engine, design, source, dest, src_loc, dst_row)?;
 
         let cost = PartitionedCost {
             segments: self.segments.len(),
@@ -468,8 +413,7 @@ impl PartitionedLut {
     /// Each lane consults the compiled-plan cache (`crate::plan`): a
     /// warm lane applies its memoized cost tape and skips issuance; the
     /// functional effects the tape stands in for — the destination-row
-    /// commit and GSA destruction — are applied directly (same pattern as
-    /// the farmed path below).
+    /// commit and GSA destruction — are applied directly.
     fn issue_lanes_serial(
         &mut self,
         engine: &mut Engine,
@@ -553,94 +497,6 @@ impl PartitionedLut {
                 },
                 &self.row,
             )?;
-        }
-        Ok(())
-    }
-
-    /// Farms the per-segment cost lanes across worker threads: each lane
-    /// replays its command costs on a [`pluto_dram::LaneClock`] fork and
-    /// the outcomes fold back in segment order. Callers guarantee every
-    /// store is ready (loaded, or the design reloads per query). The
-    /// functional effects the lanes skipped — the destination row commit
-    /// and GSA's destructive clear — are applied on the engine afterwards.
-    fn issue_lanes_farmed(
-        &mut self,
-        engine: &mut Engine,
-        design: DesignKind,
-        source: SubarrayId,
-        dest: SubarrayId,
-        dst_row: RowId,
-        policy: FarmPolicy,
-    ) -> Result<(), PlutoError> {
-        let bank = self.bank();
-        let step_kind = design.sweep_step_kind();
-        let reload = design.reload_per_query();
-        struct LaneSpec {
-            rows: usize,
-            reload_hops: u64,
-            out_hops: u64,
-        }
-        let specs: Vec<LaneSpec> = self
-            .segments
-            .iter()
-            .map(|s| LaneSpec {
-                rows: s.lut().len(),
-                reload_hops: u64::from(s.master().0.abs_diff(s.subarray().0)),
-                out_hops: u64::from(s.subarray().0.abs_diff(dest.0)),
-            })
-            .collect();
-        let workers = if policy.workers == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            policy.workers
-        }
-        .clamp(1, specs.len());
-        let chunk = specs.len().div_ceil(workers);
-        let mut outcomes: Vec<Option<LaneOutcome>> = Vec::new();
-        outcomes.resize_with(specs.len(), || None);
-        let template = engine.fork_lane();
-        std::thread::scope(|scope| {
-            for (spec_chunk, out_chunk) in specs.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
-                let template = template.clone();
-                scope.spawn(move || {
-                    for (spec, slot) in spec_chunk.iter().zip(out_chunk.iter_mut()) {
-                        let mut lane = template.clone();
-                        if reload {
-                            lane.lisa_rbm_rows(spec.reload_hops, spec.rows);
-                        }
-                        lane.activate();
-                        lane.sweep_rows(spec.rows, step_kind);
-                        if step_kind == SweepStepKind::ChargeShare {
-                            lane.precharge();
-                        }
-                        if dest == source {
-                            lane.precharge();
-                        }
-                        lane.lisa_rbm_rows(spec.out_hops, 1);
-                        if dest != source {
-                            lane.precharge();
-                        }
-                        *slot = Some(lane.finish());
-                    }
-                });
-            }
-        });
-        for outcome in outcomes.iter().flatten() {
-            engine.merge_lane(outcome);
-        }
-        // Functional effects the cost lanes skipped (all zero-cost).
-        engine.poke_row(
-            RowLoc {
-                bank,
-                subarray: dest,
-                row: dst_row,
-            },
-            &self.row,
-        )?;
-        if design.destructive_reads() {
-            for store in self.segments.iter_mut() {
-                store.mark_destroyed(engine)?;
-            }
         }
         Ok(())
     }
@@ -872,14 +728,6 @@ impl PlutoStore {
     /// segment) — what an allocator must advance its cursor by.
     pub fn subarrays_claimed(&self) -> u16 {
         2 * self.segment_count() as u16
-    }
-
-    /// Applies a segment-farming policy ([`PartitionedLut::set_farming`])
-    /// when this store is partitioned; a no-op for single-subarray stores.
-    pub fn set_farming(&mut self, policy: Option<FarmPolicy>) {
-        if let PlutoStore::Partitioned(p) = self {
-            p.set_farming(policy);
-        }
     }
 
     /// Executes one bulk LUT query through whichever data path the store
@@ -1274,94 +1122,6 @@ mod tests {
             PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)),
             Err(PlutoError::AllocationFailed { .. })
         ));
-    }
-
-    #[test]
-    fn farmed_lanes_match_serial_issue_exactly() {
-        // Farming replays lane costs on worker threads; outputs, latency,
-        // command counters, and committed rows must equal the serial
-        // issue exactly, and energy within float-fold tolerance.
-        for design in DesignKind::ALL {
-            let mut e_serial = engine();
-            let mut e_farm = engine();
-            let lut = Lut::from_fn("farm8", 8, 16, |x| (x * 29 + 3) & 0xFFFF).unwrap();
-            let mut serial =
-                PartitionedLut::load(&mut e_serial, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
-            let mut farmed =
-                PartitionedLut::load(&mut e_farm, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
-            farmed.set_farming(Some(FarmPolicy {
-                min_segments: 2,
-                workers: 3,
-            }));
-            let inputs: Vec<u64> = vec![0, 63, 64, 128, 255, 17, 200, 99];
-            for round in 0..2 {
-                let (out_s, cost_s) = serial
-                    .query(&mut e_serial, design, SRC, DST, &inputs, RowId(0), RowId(1))
-                    .unwrap();
-                let (out_f, cost_f) = farmed
-                    .query(&mut e_farm, design, SRC, DST, &inputs, RowId(0), RowId(1))
-                    .unwrap();
-                assert_eq!(out_f, out_s, "{design} round {round}: outputs");
-                assert_eq!(
-                    cost_f.latency, cost_s.latency,
-                    "{design} round {round}: latency"
-                );
-                assert_eq!(cost_f.segments, cost_s.segments);
-                assert!(
-                    (cost_f.energy.as_pj() - cost_s.energy.as_pj()).abs()
-                        < 1e-9 * cost_s.energy.as_pj().max(1.0),
-                    "{design} round {round}: farmed energy {} vs serial {}",
-                    cost_f.energy,
-                    cost_s.energy
-                );
-                assert_eq!(
-                    e_farm.elapsed(),
-                    e_serial.elapsed(),
-                    "{design} round {round}: engine clock"
-                );
-                assert_eq!(
-                    e_farm.stats(),
-                    e_serial.stats(),
-                    "{design} round {round}: command counters"
-                );
-                let dst = |e: &Engine| {
-                    e.peek_row(RowLoc {
-                        bank: BankId(0),
-                        subarray: DST,
-                        row: RowId(1),
-                    })
-                    .unwrap()
-                };
-                assert_eq!(dst(&e_farm), dst(&e_serial), "{design}: destination row");
-            }
-        }
-    }
-
-    #[test]
-    fn farming_below_threshold_or_stale_stores_falls_back_to_serial() {
-        // A 4-segment partition under a min_segments=8 policy must take
-        // the serial path (indistinguishable results either way — this
-        // guards the gate logic compiles to a fallback, not an error).
-        let mut e = engine();
-        let lut = Lut::from_fn("gate8", 8, 16, |x| x + 2).unwrap();
-        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
-        part.set_farming(Some(FarmPolicy {
-            min_segments: 8,
-            workers: 2,
-        }));
-        let (out, cost) = part
-            .query(
-                &mut e,
-                DesignKind::Bsa,
-                SRC,
-                DST,
-                &[1, 100, 255],
-                RowId(0),
-                RowId(1),
-            )
-            .unwrap();
-        assert_eq!(out, vec![3, 102, 257]);
-        assert_eq!(cost.segments, 4);
     }
 
     #[test]

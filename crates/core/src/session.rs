@@ -121,11 +121,6 @@ pub struct ExecConfig {
     pub t_faw_scale: f64,
     /// Seed of the RNG handed to [`Workload::prepare`].
     pub seed: u64,
-    /// Opt-in policy for farming one partitioned query's per-segment cost
-    /// lanes across threads ([`crate::partition::FarmPolicy`]); `None`
-    /// (the default) keeps the serial lane issue, which is bit-identical
-    /// in energy as well as latency/counters.
-    pub segment_farming: Option<crate::partition::FarmPolicy>,
     /// Timing backend charging the engine's command costs (`DESIGN.md`
     /// §11): the paper's analytic model, or the event-driven banked
     /// model that also charges row-buffer conflicts and command-queue
@@ -150,7 +145,6 @@ impl ExecConfig {
             salp_subarrays: default_salp(MemoryKind::Ddr4),
             t_faw_scale: 0.0,
             seed: 0,
-            segment_farming: None,
             timing_backend: TimingBackend::Analytic,
         }
     }
@@ -218,7 +212,6 @@ pub(crate) struct ConfigKey {
     salp_subarrays: usize,
     t_faw_bits: u64,
     seed: u64,
-    segment_farming: Option<crate::partition::FarmPolicy>,
     timing_backend: TimingBackend,
 }
 
@@ -239,7 +232,6 @@ impl ConfigKey {
             salp_subarrays,
             t_faw_scale,
             seed,
-            segment_farming,
             timing_backend,
         } = config.clone();
         ConfigKey {
@@ -254,7 +246,6 @@ impl ConfigKey {
             salp_subarrays,
             t_faw_bits: t_faw_scale.to_bits(),
             seed,
-            segment_farming,
             timing_backend,
         }
     }
@@ -350,15 +341,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Opts partitioned queries into segment farming
-    /// ([`crate::partition::FarmPolicy`]); `None` keeps the serial lane
-    /// issue.
-    #[must_use]
-    pub fn segment_farming(mut self, policy: Option<crate::partition::FarmPolicy>) -> Self {
-        self.config.segment_farming = policy;
         self
     }
 
@@ -571,9 +553,8 @@ impl Session {
     /// # Errors
     /// Fails if the geometry cannot host the controller layout.
     pub fn with_config(config: ExecConfig) -> Result<Self, PlutoError> {
-        let mut machine =
+        let machine =
             PlutoMachine::with_backend(config.dram_config(), config.design, config.timing_backend)?;
-        machine.set_segment_farming(config.segment_farming);
         Ok(Session {
             config,
             machine,
@@ -654,7 +635,6 @@ impl Session {
             self.machine.reset();
         } else {
             self.machine = PlutoMachine::with_backend(dram, cfg.design, cfg.timing_backend)?;
-            self.machine.set_segment_farming(cfg.segment_farming);
         }
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         workload.prepare(&mut rng);

@@ -1007,43 +1007,6 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Parallel-lane cost replay (§5.6 segment farming)
-    // ------------------------------------------------------------------
-
-    /// Snapshots the timing state into a detached [`LaneClock`] that can
-    /// replay one parallel lane's command costs off-engine (e.g. on a
-    /// `Cluster` worker thread). The lane starts at the current clock with
-    /// the current tFAW window — the same state [`Engine::rewind_clock`]
-    /// restores between serially-issued lanes — and accumulates its own
-    /// energy and counter deltas for a later [`Engine::merge_lane`].
-    pub fn fork_lane(&self) -> LaneClock {
-        LaneClock {
-            clock: self.clock,
-            act_window: self.act_window.clone(),
-            queue: self.rank.queue.clone(),
-            backend: self.backend,
-            open: None,
-            share: None,
-            timing: self.timing.clone(),
-            energy_model: self.energy_model.clone(),
-            energy: PicoJoules::ZERO,
-            stats: CommandStats::new(),
-        }
-    }
-
-    /// Folds a finished lane back in with §5.6 semantics: the clock
-    /// advances to the lane's end if it is the slowest so far, energy and
-    /// command counters sum unconditionally. Energy is added as one lane
-    /// subtotal, so a farmed query's energy can differ from the serially
-    /// issued stream by float-summation reassociation (deterministic for
-    /// a fixed lane split, but not bit-identical).
-    pub fn merge_lane(&mut self, outcome: &LaneOutcome) {
-        self.advance_clock_to(outcome.end);
-        self.command_energy += outcome.energy;
-        self.stats.merge(&outcome.stats);
-    }
-
-    // ------------------------------------------------------------------
     // Compiled cost tapes (plan-cache replay, DESIGN.md §10)
     // ------------------------------------------------------------------
 
@@ -1122,8 +1085,8 @@ impl Engine {
     /// from a state with the identical signature
     /// ([`CostTape::replayable_from`]). A capture in progress is dropped
     /// by any absolute-time mutation ([`Engine::rewind_clock`],
-    /// [`Engine::advance_clock_to`], [`Engine::reset_accounting`],
-    /// [`Engine::merge_lane`]) — `end_tape` then returns `None` and the
+    /// [`Engine::advance_clock_to`], [`Engine::reset_accounting`]) —
+    /// `end_tape` then returns `None` and the
     /// caller falls back to uncached issuance. Beginning a new capture
     /// discards any previous one.
     pub fn begin_tape(&mut self) {
@@ -1242,168 +1205,6 @@ impl Engine {
         self.rank
             .restore_open(&tape.end_bank_open, &tape.end_share_open, self.clock);
         snapshots
-    }
-}
-
-/// A detached replay of one parallel command lane's *costs* (no array, no
-/// data): the same clock arithmetic, tFAW window, energy accounting, and
-/// counters as [`Engine`], minus the functional model. Created by
-/// [`Engine::fork_lane`], consumed by [`Engine::merge_lane`]. `Send`, so
-/// lanes can be costed on worker threads while the caller owns the engine.
-#[derive(Debug, Clone)]
-pub struct LaneClock {
-    clock: Picos,
-    act_window: VecDeque<Picos>,
-    /// The forking engine's command queue at fork time (rank-global, so
-    /// a lane inherits pre-region queue pressure like it inherits the
-    /// tFAW window).
-    queue: VecDeque<Picos>,
-    backend: TimingBackend,
-    /// The lane's bank-level open row (its activation time). Lanes are
-    /// forked at region starts, which the partitioned data path enters
-    /// with every subarray precharged, so lane-local tracking suffices.
-    open: Option<Picos>,
-    /// The lane's charge-share chain state (last step's issue time).
-    share: Option<Picos>,
-    timing: TimingParams,
-    energy_model: EnergyModel,
-    energy: PicoJoules,
-    stats: CommandStats,
-}
-
-/// The summable result of a [`LaneClock`] replay.
-#[derive(Debug, Clone)]
-pub struct LaneOutcome {
-    /// The lane's end time (absolute, on the forking engine's clock).
-    pub end: Picos,
-    /// Dynamic energy the lane consumed.
-    pub energy: PicoJoules,
-    /// Commands the lane issued.
-    pub stats: CommandStats,
-}
-
-impl LaneClock {
-    /// Issues one classified activation through the same backend policy
-    /// as [`Engine::issue_act_classified`], against the lane-local
-    /// row-buffer state and the inherited command queue.
-    fn issue_act(&mut self, class: ActClass, conflict_open: Option<Picos>) -> Picos {
-        let mut at = self.clock;
-        if self.timing.t_faw_enabled() && self.act_window.len() >= 4 {
-            let fourth_back = self.act_window[self.act_window.len() - 4];
-            let earliest = fourth_back + self.timing.t_faw;
-            at = at.max(earliest);
-        }
-        let queue_gate = (self.queue.len() >= ACT_QUEUE_DEPTH)
-            .then(|| self.queue[self.queue.len() - ACT_QUEUE_DEPTH] + self.timing.t_ras);
-        let issue =
-            model_for(self.backend).act_issue(at, class, conflict_open, queue_gate, &self.timing);
-        match class {
-            ActClass::Hit => self.stats.row_hits += 1,
-            ActClass::Miss => self.stats.row_misses += 1,
-            ActClass::Conflict => self.stats.row_conflicts += 1,
-        }
-        if issue.queue_stalled {
-            self.stats.queue_stalls += 1;
-        }
-        self.act_window.push_back(issue.at);
-        while self.act_window.len() > 4 {
-            self.act_window.pop_front();
-        }
-        self.queue.push_back(issue.at);
-        if self.queue.len() > ACT_QUEUE_DEPTH {
-            self.queue.pop_front();
-        }
-        issue.at
-    }
-
-    fn spend(&mut self, duration: Picos, energy: PicoJoules) {
-        self.clock += duration;
-        self.energy += energy;
-    }
-
-    /// The lane's current clock (absolute).
-    pub fn elapsed(&self) -> Picos {
-        self.clock
-    }
-
-    /// Cost of one ACT (mirrors [`Engine::activate`]).
-    pub fn activate(&mut self) {
-        let class = match self.open {
-            Some(_) => ActClass::Conflict,
-            None => ActClass::Miss,
-        };
-        let at = self.issue_act(class, self.open);
-        self.open = Some(at);
-        self.clock = at;
-        self.spend(self.timing.t_rcd, self.energy_model.e_act);
-        self.stats.activates += 1;
-    }
-
-    /// Cost of one PRE (mirrors [`Engine::precharge`]). Like the
-    /// engine's `RankState::close`, it closes the charge-share chain
-    /// first if one is open (partitioned lanes precharge the pLUTo
-    /// subarray before the source), otherwise the bank-level row.
-    pub fn precharge(&mut self) {
-        if self.share.is_some() {
-            self.share = None;
-        } else {
-            self.open = None;
-        }
-        self.spend(self.timing.t_rp, self.energy_model.e_pre);
-        self.stats.precharges += 1;
-    }
-
-    /// Cost of `count` sweep steps (mirrors [`Engine::sweep_rows`]).
-    pub fn sweep_rows(&mut self, count: usize, kind: SweepStepKind) {
-        for _ in 0..count {
-            let class = match kind {
-                SweepStepKind::FullCycle => ActClass::Miss,
-                SweepStepKind::ChargeShare => match self.share {
-                    Some(_) => ActClass::Hit,
-                    None => ActClass::Miss,
-                },
-            };
-            let at = self.issue_act(class, None);
-            if kind == SweepStepKind::ChargeShare {
-                self.share = Some(at);
-            }
-            self.clock = at;
-            match kind {
-                SweepStepKind::FullCycle => self.spend(
-                    self.timing.act_pre_cycle(),
-                    self.energy_model.act_pre_cycle(),
-                ),
-                SweepStepKind::ChargeShare => {
-                    self.spend(self.timing.t_rcd, self.energy_model.e_charge_share)
-                }
-            }
-            self.stats.activates += 1;
-            if kind == SweepStepKind::FullCycle {
-                self.stats.precharges += 1;
-            }
-            self.stats.sweep_steps += 1;
-        }
-    }
-
-    /// Cost of `count` LISA row movements of `hops` hops each (mirrors
-    /// [`Engine::lisa_rbm_to_row`] / [`Engine::lisa_reload_rows`]).
-    pub fn lisa_rbm_rows(&mut self, hops: u64, count: usize) {
-        for _ in 0..count {
-            self.spend(
-                self.timing.t_lisa_hop.times(hops),
-                self.energy_model.e_lisa_hop.times(hops),
-            );
-            self.stats.lisa_hops += hops;
-        }
-    }
-
-    /// Closes the lane, yielding its end time and accumulated deltas.
-    pub fn finish(self) -> LaneOutcome {
-        LaneOutcome {
-            end: self.clock,
-            energy: self.energy,
-            stats: self.stats,
-        }
     }
 }
 
@@ -1925,85 +1726,6 @@ mod tests {
                 "buffer end state of {sa:?}"
             );
         }
-    }
-
-    #[test]
-    fn lane_clock_replays_engine_costs_exactly() {
-        // Issue the same lane twice: once serially on the engine between
-        // rewind/advance marks, once on a forked LaneClock. End time,
-        // energy delta, and counter delta must agree exactly.
-        let cfg = DramConfig {
-            row_bytes: 16,
-            burst_bytes: 8,
-            ..DramConfig::ddr4_2400()
-        };
-        let mut timing = TimingParams::ddr4_2400();
-        timing.t_rcd = Picos::from_ns(1.0);
-        timing.t_rp = Picos::from_ns(1.0);
-        timing.t_faw = Picos::from_ns(25.0);
-        let mut e = Engine::with_models(cfg, timing, EnergyModel::ddr4());
-        // Pre-history so the fork inherits a nonempty tFAW window.
-        for r in 0..4u16 {
-            e.sweep_step(RowLoc::new(0, 0, r), SweepStepKind::ChargeShare)
-                .unwrap();
-        }
-        e.precharge(BankId(0), SubarrayId(0)).unwrap();
-        // An identical twin that will receive the lane via merge instead
-        // of issuing it serially.
-        let mut twin = e.clone();
-        let e0 = e.command_energy();
-        let s0 = e.stats();
-        let mut lane = e.fork_lane();
-        // The lane: reload, activate, sweep, precharge, copy-out RBM.
-        lane.lisa_rbm_rows(1, 6);
-        lane.activate();
-        lane.sweep_rows(6, SweepStepKind::ChargeShare);
-        lane.precharge();
-        lane.lisa_rbm_rows(2, 1);
-        lane.precharge();
-        let outcome = lane.finish();
-        // Same stream issued serially on the engine.
-        e.lisa_reload_rows(
-            BankId(0),
-            SubarrayId(4),
-            RowId(0),
-            SubarrayId(3),
-            RowId(0),
-            6,
-        )
-        .unwrap();
-        e.activate(RowLoc::new(0, 1, 0)).unwrap();
-        e.sweep_rows(
-            BankId(0),
-            SubarrayId(3),
-            RowId(0),
-            6,
-            SweepStepKind::ChargeShare,
-        )
-        .unwrap();
-        e.precharge(BankId(0), SubarrayId(3)).unwrap();
-        e.deposit_buffer(BankId(0), SubarrayId(3), &[0; 16])
-            .unwrap();
-        e.lisa_rbm_to_row(BankId(0), SubarrayId(3), SubarrayId(1), RowId(9))
-            .unwrap();
-        e.precharge(BankId(0), SubarrayId(1)).unwrap();
-        assert_eq!(outcome.end, e.elapsed(), "lane end == serial end");
-        assert_eq!(
-            outcome.energy.as_pj().to_bits(),
-            (e.command_energy() - e0).as_pj().to_bits(),
-            "lane energy == serial delta"
-        );
-        assert_eq!(outcome.stats, e.stats().since(&s0), "lane stats == delta");
-        // Merging the outcome into the twin reproduces the serial clock
-        // and counters exactly; energy folds as one lane subtotal, equal
-        // here because the lane's additions start from zero either way.
-        twin.merge_lane(&outcome);
-        assert_eq!(twin.elapsed(), e.elapsed());
-        assert_eq!(twin.stats(), e.stats());
-        assert!(
-            (twin.command_energy() - e.command_energy()).as_pj().abs() < 1e-9,
-            "merged energy within float reassociation tolerance"
-        );
     }
 
     #[test]

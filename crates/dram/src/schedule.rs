@@ -17,6 +17,9 @@
 use crate::units::Picos;
 use std::collections::VecDeque;
 
+/// Activations the rank admits per tFAW window.
+const ACTS_PER_WINDOW: usize = 4;
+
 /// The scheduling class of one step in a lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StepKind {
@@ -97,49 +100,18 @@ impl FromIterator<LaneStep> for Lane {
 }
 
 /// Computes the parallel makespan of a set of lanes under a shared tFAW
-/// constraint, optionally with a bounded per-rank command queue.
+/// constraint.
 #[derive(Debug, Clone)]
 pub struct ParallelScheduler {
     t_faw: Picos,
-    acts_per_window: usize,
-    queue: Option<(usize, Picos)>,
 }
 
 impl ParallelScheduler {
     /// Creates a scheduler enforcing at most four activations per `t_faw`
     /// window ([`Picos::ZERO`] disables the constraint, the paper's
-    /// "tFAW = 0 s" configuration). No command queue is modeled by
-    /// default — see [`ParallelScheduler::with_command_queue`].
+    /// "tFAW = 0 s" configuration).
     pub fn new(t_faw: Picos) -> Self {
-        ParallelScheduler {
-            t_faw,
-            acts_per_window: 4,
-            queue: None,
-        }
-    }
-
-    /// Overrides the number of activations allowed per window (default 4).
-    ///
-    /// # Panics
-    /// Panics if `n` is zero.
-    pub fn with_acts_per_window(mut self, n: usize) -> Self {
-        assert!(n > 0, "window must admit at least one activation");
-        self.acts_per_window = n;
-        self
-    }
-
-    /// Also models a bounded per-rank command queue: at most `depth`
-    /// activations may be in flight, and an entry retires `t_ras` after
-    /// it issues. An activation arriving at a full queue waits for the
-    /// oldest in-flight entry to retire — the same gate the banked
-    /// timing backend applies serially (`DESIGN.md` §11).
-    ///
-    /// # Panics
-    /// Panics if `depth` is zero.
-    pub fn with_command_queue(mut self, depth: usize, t_ras: Picos) -> Self {
-        assert!(depth > 0, "command queue must admit at least one entry");
-        self.queue = Some((depth, t_ras));
-        self
+        ParallelScheduler { t_faw }
     }
 
     /// Returns the makespan: the time at which the last lane finishes when
@@ -148,8 +120,7 @@ impl ParallelScheduler {
     pub fn makespan(&self, lanes: &[Lane]) -> Picos {
         let mut ready: Vec<Picos> = vec![Picos::ZERO; lanes.len()];
         let mut next_step: Vec<usize> = vec![0; lanes.len()];
-        let mut window: VecDeque<Picos> = VecDeque::with_capacity(self.acts_per_window);
-        let mut cmd_queue: VecDeque<Picos> = VecDeque::new();
+        let mut window: VecDeque<Picos> = VecDeque::with_capacity(ACTS_PER_WINDOW);
         let mut finish = Picos::ZERO;
 
         // Process steps globally in earliest-ready order so that the shared
@@ -172,26 +143,14 @@ impl ParallelScheduler {
             let start = match step.kind {
                 StepKind::Act => {
                     let mut at = ready[i];
-                    if self.t_faw > Picos::ZERO && window.len() >= self.acts_per_window {
-                        let gate = window[window.len() - self.acts_per_window] + self.t_faw;
-                        at = at.max(gate);
-                    }
-                    if let Some((depth, t_ras)) = self.queue {
-                        if cmd_queue.len() >= depth {
-                            let gate = cmd_queue[cmd_queue.len() - depth] + t_ras;
+                    if self.t_faw > Picos::ZERO {
+                        if window.len() >= ACTS_PER_WINDOW {
+                            let gate = window[window.len() - ACTS_PER_WINDOW] + self.t_faw;
                             at = at.max(gate);
                         }
-                    }
-                    if self.t_faw > Picos::ZERO {
                         window.push_back(at);
-                        while window.len() > self.acts_per_window {
+                        while window.len() > ACTS_PER_WINDOW {
                             window.pop_front();
-                        }
-                    }
-                    if let Some((depth, _)) = self.queue {
-                        cmd_queue.push_back(at);
-                        while cmd_queue.len() > depth {
-                            cmd_queue.pop_front();
                         }
                     }
                     at
@@ -299,44 +258,5 @@ mod tests {
     fn from_iterator_builds_lane() {
         let lane: Lane = (0..3).map(|_| LaneStep::act(ns(1.0))).collect();
         assert_eq!(lane.steps().len(), 3);
-    }
-
-    #[test]
-    fn command_queue_binds_fast_parallel_lanes() {
-        // 8 lanes each issuing 4 fast ACTs, tFAW disabled: aggregate
-        // 32 ACTs hit a 4-deep queue with a 32 ns retirement time. The
-        // queue admits 4 per 32 ns, so a lower bound on the makespan is
-        // (32 - 4) / 4 * 32 ns = 224 ns, far above the 4 ns serial lane.
-        let mut lane = Lane::new();
-        lane.push_repeated(LaneStep::act(ns(1.0)), 4);
-        let free = ParallelScheduler::new(Picos::ZERO);
-        let queued = ParallelScheduler::new(Picos::ZERO).with_command_queue(4, ns(32.0));
-        assert_eq!(free.makespan_uniform(&lane, 8), lane.serial_duration());
-        let t = queued.makespan_uniform(&lane, 8);
-        assert!(t >= ns(224.0), "queue must throttle: {t}");
-    }
-
-    #[test]
-    fn command_queue_never_slows_slow_lanes() {
-        // ACT spacing (40 ns) exceeds tRAS (32 ns): each entry retires
-        // before the next fills the queue, even with depth 1.
-        let mut lane = Lane::new();
-        lane.push_repeated(LaneStep::act(ns(40.0)), 6);
-        let sched = ParallelScheduler::new(Picos::ZERO).with_command_queue(1, ns(32.0));
-        assert_eq!(sched.makespan_uniform(&lane, 1), lane.serial_duration());
-    }
-
-    #[test]
-    fn command_queue_composes_with_tfaw() {
-        // With both constraints active, the makespan is at least the
-        // makespan under either alone.
-        let mut lane = Lane::new();
-        lane.push_repeated(LaneStep::act(ns(2.0)), 8);
-        let faw_only = ParallelScheduler::new(ns(13.328));
-        let queue_only = ParallelScheduler::new(Picos::ZERO).with_command_queue(8, ns(32.0));
-        let both = ParallelScheduler::new(ns(13.328)).with_command_queue(8, ns(32.0));
-        let t = both.makespan_uniform(&lane, 16);
-        assert!(t >= faw_only.makespan_uniform(&lane, 16));
-        assert!(t >= queue_only.makespan_uniform(&lane, 16));
     }
 }

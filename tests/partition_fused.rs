@@ -10,9 +10,9 @@
 //! sequence is replayed exactly, so even float non-associativity cannot
 //! separate them), engine clock/energy deltas, command counters, and the
 //! committed source/destination/LUT row bytes. Swept across segment
-//! counts {2, 3, 4, 8, 128} × all 3 designs × 2 memory kinds, with
-//! seam-boundary inputs, two rounds each (GSA's destroy-reload steady
-//! state included).
+//! counts {2, 3, 4, 8, 128} × all 3 designs × 2 memory kinds × both
+//! timing backends, with seam-boundary inputs, two rounds each (GSA's
+//! destroy-reload steady state included).
 //!
 //! Row-buffer residue is deliberately *not* compared: the fused path
 //! leaves different unlatched scratch in subarray buffers (transient GSA
@@ -21,7 +21,9 @@
 use pluto_repro::core::partition::PartitionedLut;
 use pluto_repro::core::query::QueryScratch;
 use pluto_repro::core::{DesignKind, Lut};
-use pluto_repro::dram::{BankId, DramConfig, Engine, MemoryKind, RowId, RowLoc, SubarrayId};
+use pluto_repro::dram::{
+    BankId, DramConfig, Engine, MemoryKind, RowId, RowLoc, SubarrayId, TimingBackend,
+};
 
 /// Rows per subarray: small, so even the 128-segment sweep stays fast.
 const SEG_ROWS: usize = 64;
@@ -30,7 +32,7 @@ const SEG_ROWS: usize = 64;
 /// (an 8192-entry table on this geometry).
 const SEGMENT_COUNTS: [usize; 5] = [2, 3, 4, 8, 128];
 
-fn engine(kind: MemoryKind, segs: usize) -> Engine {
+fn engine(kind: MemoryKind, segs: usize, backend: TimingBackend) -> Engine {
     Engine::new(DramConfig {
         kind,
         row_bytes: 32,
@@ -40,6 +42,7 @@ fn engine(kind: MemoryKind, segs: usize) -> Engine {
         subarrays_per_bank: (2 + 2 * segs as u16).max(8),
         rows_per_subarray: SEG_ROWS as u16,
     })
+    .with_timing_backend(backend)
 }
 
 /// Boundary inputs hugging every segment seam (`k·R ± 1`), the table
@@ -75,13 +78,17 @@ fn fused_gather_is_bit_identical_to_the_serial_reference() {
             Lut::from_fn_len(format!("fuse{segs}"), len, 16, |x| (x * 37 + 11) & 0xFFFF).unwrap();
         let inputs = seam_inputs(len);
         let host = lut.apply_all(&inputs).unwrap();
-        for kind in [MemoryKind::Ddr4, MemoryKind::Stacked3d] {
+        let backends = [TimingBackend::Analytic, TimingBackend::Banked];
+        for (kind, backend) in [MemoryKind::Ddr4, MemoryKind::Stacked3d]
+            .into_iter()
+            .flat_map(|kind| backends.map(|backend| (kind, backend)))
+        {
             for design in DesignKind::ALL {
-                let label = format!("{design}/{kind}/{segs}seg");
+                let label = format!("{design}/{kind}/{backend}/{segs}seg");
 
                 // Two identically prepared engines: fused vs reference.
-                let mut ef = engine(kind, segs);
-                let mut er = engine(kind, segs);
+                let mut ef = engine(kind, segs, backend);
+                let mut er = engine(kind, segs, backend);
                 let mut pf =
                     PartitionedLut::load(&mut ef, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
                 let mut pr =
@@ -177,8 +184,8 @@ fn fused_gather_matches_reference_on_padded_tail_segments() {
     inputs.truncate(16);
     let host = lut.apply_all(&inputs).unwrap();
     for design in DesignKind::ALL {
-        let mut ef = engine(MemoryKind::Ddr4, 11);
-        let mut er = engine(MemoryKind::Ddr4, 11);
+        let mut ef = engine(MemoryKind::Ddr4, 11, TimingBackend::Analytic);
+        let mut er = engine(MemoryKind::Ddr4, 11, TimingBackend::Analytic);
         let mut pf = PartitionedLut::load(&mut ef, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
         let mut pr = PartitionedLut::load(&mut er, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
         let mut sf = QueryScratch::new();
