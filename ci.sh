@@ -37,7 +37,7 @@ cargo run --release --quiet -p pluto-bench --bin fig07_speedup -- --quick --work
 echo "==> query-engine throughput guard (benches/query.rs smoke: word-parallel >= 2x scalar packing, warm-plan replay >= 2x issuing)"
 PLUTO_QUICK=1 cargo bench -p pluto-bench --bench query
 
-echo "==> partitioned-LUT guard (benches/partition.rs smoke: fused 5.6 path — 4-seg query < 2x single, cached load < the query it serves)"
+echo "==> partitioned-LUT guard (benches/partition.rs smoke: fused 5.6 path — 4-seg query < 2x single; cached load and reset + reload each < the query they serve)"
 PLUTO_QUICK=1 cargo bench -p pluto-bench --bench partition
 
 echo "==> serve queue-behavior guard (benches/serve.rs smoke: mixed p99 bounded vs baseline, plan-cache hits live, stealing live)"

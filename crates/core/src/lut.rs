@@ -24,7 +24,8 @@ use std::sync::Arc;
 /// per-subarray segment back to a power of two.
 #[derive(Clone)]
 pub struct Lut {
-    name: String,
+    /// Shared, so cloning a LUT (every store load does) copies no bytes.
+    name: Arc<str>,
     input_bits: u32,
     output_bits: u32,
     /// Slot-width floor (see [`Lut::with_min_slot_bits`]); 0 = derived.
@@ -112,7 +113,7 @@ impl Lut {
             elements.push(y);
         }
         Ok(Lut {
-            name,
+            name: name.into(),
             input_bits,
             output_bits,
             min_slot_bits: 0,
@@ -142,7 +143,7 @@ impl Lut {
             });
         }
         Ok(Lut {
-            name,
+            name: name.into(),
             input_bits,
             output_bits,
             min_slot_bits: 0,

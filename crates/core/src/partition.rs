@@ -17,15 +17,15 @@
 //!   ([`crate::lut::Lut::with_min_slot_bits`]), so every segment element
 //!   row is byte-identical to the corresponding row of the unpartitioned
 //!   layout and row capacity is uniform across segments. Because of that
-//!   identity, loading N segments is **one pass over the parent's packed
-//!   rows**: all segments slice the parent's single packed-row-cache
-//!   entry ([`crate::store`]) — one cache lookup and one identity check —
-//!   with tail padding drawn from one shared zero row, and each segment's
-//!   rows enter DRAM as one batched copy-on-write poke
-//!   ([`crate::store::LutStore`]'s sliced loader). Tail segments whose
+//!   identity, the N segment images are **cut from the parent's single
+//!   packed-row-cache entry** ([`crate::store`]) — one cache lookup and
+//!   one identity check per load — and cached on that entry with the
+//!   segment LUTs, keyed by segment length. Each segment's image enters
+//!   DRAM as one copy-on-write handle per subarray
+//!   ([`crate::store::LutStore`]'s image loader). Tail segments whose
 //!   length is not a power of two are padded with masked-out zero
-//!   elements (inputs are validated against the *parent* length, so the
-//!   pad rows can never match).
+//!   elements stored as zero rows (inputs are validated against the
+//!   *parent* length, so the pad rows can never match).
 //! * **Data path — fused single pass.** Commands and data are split:
 //!   each segment's *command stream* is still issued in full (that is
 //!   what §5.6 charges), but the *data work* is one gather over the
@@ -53,8 +53,6 @@
 //! one query interface, which is how [`crate::library::PlutoMachine`] and
 //! [`crate::controller::Controller`] (and therefore every `Session` and
 //! `Cluster` worker) transparently route oversized LUTs.
-
-use std::sync::Arc;
 
 use crate::design::DesignKind;
 use crate::error::PlutoError;
@@ -111,9 +109,9 @@ impl PartitionedLut {
     /// truncated tables ([`Lut::from_fn_len`]) — because the tail segment
     /// is padded to the next power of two with masked-out elements.
     ///
-    /// All segments pack in **one pass**: the parent's packed rows come
-    /// from the process-wide cache once, each segment slices its row range
-    /// as copy-on-write handles, and pad rows share a single zero row.
+    /// All segments come from **one cache entry**: the parent's packed
+    /// image is cut into padded segment images once, and every later load
+    /// places those images as one copy-on-write handle per subarray.
     ///
     /// # Errors
     /// Fails if the bank runs out of subarrays.
@@ -130,35 +128,12 @@ impl PartitionedLut {
         // largest power-of-two row prefix is usable per subarray.
         let max_rows = 1usize << rows.ilog2();
         let segment_rows = max_rows.min(lut.len().next_power_of_two());
-        let count = lut.len().div_ceil(segment_rows);
-        let slot_floor = lut.slot_bits();
         // One cache lookup + identity check for the whole partition: the
-        // parent's packed rows ARE the segment rows (segments keep the
-        // parent's slot layout), and every pad row packs to zero bytes.
-        let parent_rows = crate::store::packed_rows(&lut, row_bytes);
-        let zero_row = Arc::new(vec![0u8; row_bytes]);
-        let mut seg_rows: Vec<Arc<Vec<u8>>> = Vec::with_capacity(segment_rows);
-        let mut segments = Vec::with_capacity(count);
-        for k in 0..count {
-            let base = k * segment_rows;
-            let end = (base + segment_rows).min(lut.len());
-            let mut elements = lut.elements()[base..end].to_vec();
-            // Pad the (tail) segment to a power of two with masked-out
-            // elements: inputs are validated against the parent length,
-            // so a pad row can never be the matching row of any query.
-            elements.resize((end - base).next_power_of_two(), 0);
-            let seg = Lut::from_table(
-                format!("{}@seg{k}", lut.name()),
-                elements.len().trailing_zeros(),
-                lut.output_bits(),
-                elements,
-            )?
-            .with_min_slot_bits(slot_floor);
-            debug_assert_eq!(
-                seg.slot_bits(),
-                lut.slot_bits(),
-                "segment layout must match the unpartitioned layout"
-            );
+        // segment LUTs and images are cut once per cache entry, and each
+        // segment's subarrays adopt its image as one handle.
+        let partition = crate::store::packed_partition(&lut, row_bytes, segment_rows)?;
+        let mut segments = Vec::with_capacity(partition.segments.len());
+        for (k, (seg, image)) in partition.segments.iter().enumerate() {
             let pluto = SubarrayId(first_subarray.0 + 2 * k as u16);
             let master = SubarrayId(pluto.0 + 1);
             if master.0 >= engine.config().subarrays_per_bank {
@@ -166,19 +141,15 @@ impl PartitionedLut {
                     reason: format!("segment {k} exceeds the bank's subarrays"),
                 });
             }
-            // Full segments poke the parent's cached rows straight from
-            // the slice — no handle cloning at all (and on a repeat load
-            // the pokes are pointer-equal no-ops). Only a padded tail
-            // segment assembles a temporary row vector.
-            let store = if end - base == seg.len() {
-                LutStore::load_sliced(engine, seg, bank, pluto, master, 0, &parent_rows[base..end])?
-            } else {
-                seg_rows.clear();
-                seg_rows.extend(parent_rows[base..end].iter().map(Arc::clone));
-                seg_rows.resize_with(seg.len(), || Arc::clone(&zero_row));
-                LutStore::load_sliced(engine, seg, bank, pluto, master, 0, &seg_rows)?
-            };
-            segments.push(store);
+            segments.push(LutStore::load_image(
+                engine,
+                seg.clone(),
+                bank,
+                pluto,
+                master,
+                0,
+                image,
+            )?);
         }
         Ok(PartitionedLut {
             lut,
@@ -845,7 +816,7 @@ impl PlutoStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lut::{pack_slots, slots_per_row, unpack_slots};
+    use crate::lut::{catalog, pack_slots, slots_per_row, unpack_slots};
     use pluto_dram::DramConfig;
 
     fn engine() -> Engine {
@@ -1029,7 +1000,7 @@ mod tests {
                 .unwrap();
             assert_eq!(pluto_row, master_row, "row {i}: pluto vs master copy");
         }
-        // 650 = 10×64 + 10: tail rows 10.. are shared zero padding.
+        // 650 = 10×64 + 10: tail rows 10.. are zero padding.
         for i in 10..tail.lut().len() {
             assert!(
                 e.peek_row(tail.element_row(i))
@@ -1211,5 +1182,43 @@ mod tests {
             assert_eq!(cost.segments, store.segment_count(), "{name}");
             assert!(cost.latency > Picos::ZERO && cost.energy > PicoJoules::ZERO);
         }
+    }
+
+    /// Loading a cached LUT onto a fresh engine adopts one image handle
+    /// per subarray: no row handle is cloned, however many rows the
+    /// 128-segment table has. The geometry's row width is unique to this
+    /// test, so no concurrent test shares the cache entry.
+    #[test]
+    fn cached_partitioned_load_clones_no_row_handles() {
+        use std::sync::Arc;
+        let cfg = DramConfig {
+            row_bytes: 40,
+            burst_bytes: 8,
+            banks: 1,
+            subarrays_per_bank: 260,
+            rows_per_subarray: 512,
+            ..DramConfig::ddr4_2400()
+        };
+        let lut = catalog::mul(8).unwrap();
+        let first = PartitionedLut::load(
+            &mut Engine::new(cfg.clone()),
+            lut.clone(),
+            BankId(0),
+            SubarrayId(2),
+        )
+        .unwrap();
+        assert_eq!(first.segment_count(), 128);
+        let partition = crate::store::packed_partition(&lut, cfg.row_bytes, 512).unwrap();
+        let probe = Arc::clone(partition.segments[77].1.rows()[300].as_ref().unwrap());
+        let before = Arc::strong_count(&probe);
+        let mut e = Engine::new(cfg);
+        let part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        assert_eq!(Arc::strong_count(&probe), before);
+        assert_eq!(
+            e.peek_row(part.segments()[77].element_row(300)).unwrap(),
+            *probe
+        );
+        drop(e);
+        assert_eq!(Arc::strong_count(&probe), before);
     }
 }

@@ -35,6 +35,7 @@
 //! sweep is independent of the element *values*, so two same-shaped LUTs
 //! sharing a key is correct, not a collision.
 
+use crate::deque::lock_recover;
 use crate::design::DesignKind;
 use crate::store::LutStore;
 use pluto_dram::{CostTape, DramConfig, Engine};
@@ -185,7 +186,7 @@ fn plan_cache() -> &'static Mutex<PlanCache> {
 
 /// Looks up a tape, bumping the hit/miss counters.
 pub(crate) fn lookup(key: &PlanKey) -> Option<Arc<CostTape>> {
-    let mut cache = plan_cache().lock().expect("plan cache poisoned");
+    let mut cache = lock_recover(plan_cache());
     let hit = cache.entries.get(key).map(Arc::clone);
     match hit {
         Some(_) => cache.hits += 1,
@@ -196,7 +197,7 @@ pub(crate) fn lookup(key: &PlanKey) -> Option<Arc<CostTape>> {
 
 /// Stores a freshly recorded tape.
 pub(crate) fn insert(key: PlanKey, tape: CostTape) {
-    let mut cache = plan_cache().lock().expect("plan cache poisoned");
+    let mut cache = lock_recover(plan_cache());
     if cache.entries.len() >= PLAN_CACHE_CAP {
         cache.entries.clear();
     }
@@ -206,17 +207,58 @@ pub(crate) fn insert(key: PlanKey, tape: CostTape) {
 /// Counts a query that ran the issuing path because a legality gate
 /// failed.
 pub(crate) fn note_fallback() {
-    plan_cache().lock().expect("plan cache poisoned").fallbacks += 1;
+    lock_recover(plan_cache()).fallbacks += 1;
 }
 
 /// Hit/miss/fallback counters of the plan cache (process-wide and
 /// monotonic, like [`crate::store::packed_cache_stats`]).
 pub fn plan_stats() -> PlanStats {
-    let cache = plan_cache().lock().expect("plan cache poisoned");
+    let cache = lock_recover(plan_cache());
     PlanStats {
         hits: cache.hits,
         misses: cache.misses,
         fallbacks: cache.fallbacks,
         entries: cache.entries.len(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lut::Lut;
+    use crate::query::{QueryExecutor, QueryPlacement};
+    use pluto_dram::{BankId, DramConfig, RowId, SubarrayId};
+
+    #[test]
+    fn lookups_survive_a_poisoned_cache_lock() {
+        let poisoner = std::thread::spawn(|| {
+            let _guard = lock_recover(plan_cache());
+            panic!("poisoning the plan cache on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(plan_cache().is_poisoned());
+        // A query still records its tape, and a repeat replays it.
+        let mut e = Engine::new(DramConfig {
+            row_bytes: 32,
+            burst_bytes: 8,
+            banks: 2,
+            subarrays_per_bank: 8,
+            rows_per_subarray: 64,
+            ..DramConfig::ddr4_2400()
+        });
+        let lut = Lut::from_table("plan-poison-probe", 2, 4, vec![3, 1, 4, 1]).unwrap();
+        let mut store =
+            LutStore::load(&mut e, lut, BankId(0), SubarrayId(2), SubarrayId(3), 0).unwrap();
+        let placement = QueryPlacement::adjacent(BankId(0), SubarrayId(2));
+        let before = plan_stats();
+        for _ in 0..2 {
+            let (out, _) = QueryExecutor::new(&mut e, DesignKind::Gmc)
+                .execute(&mut store, placement, &[0, 2, 3], RowId(0), RowId(1))
+                .unwrap();
+            assert_eq!(out, vec![3, 4, 1]);
+        }
+        // Other tests share the process-wide counters, so only
+        // lower-bound them.
+        assert!(plan_stats().hits > before.hits, "the repeat replays");
     }
 }

@@ -7,11 +7,21 @@
 //! For GSA (destructive reads, §5.2.1) a pristine *master copy* lives in a
 //! neighbouring subarray and is re-loaded into the pLUTo-enabled subarray
 //! before every query at a cost of `LISA_RBM × N` (Table 1).
+//!
+//! Loading is a zero-cost backdoor served by a process-wide packed-row
+//! cache. Each entry holds one LUT's packed *image*, a shared row table
+//! ([`pluto_dram::RowImage`]), and, per segment length, the padded
+//! segment LUTs and images of its §5.6 partition (`crate::partition`).
+//! A load onto a fresh engine adopts one image handle per subarray, and
+//! dropping the engine releases one per subarray, so the reset + reload a
+//! pooled machine pays before every served query costs O(segments), not
+//! O(rows).
 
+use crate::deque::lock_recover;
 use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, Lut};
-use pluto_dram::{BankId, Engine, RowId, RowLoc, SubarrayId};
+use pluto_dram::{BankId, Engine, RowId, RowImage, RowLoc, SubarrayId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -43,16 +53,76 @@ struct PackedKey {
 
 #[derive(Debug)]
 struct PackedEntry {
-    /// The element table the rows were packed from (the identity witness).
+    /// The element table the image was packed from (the identity witness).
     elements: Arc<Vec<u64>>,
-    rows: Arc<Vec<Arc<Vec<u8>>>>,
+    /// Row `i` holds element `i` replicated across every slot.
+    image: RowImage,
+    /// The §5.6 segment layouts cut from `image`, one per segment length,
+    /// each built on the first partitioned load at that length. They live
+    /// and die with the entry, under its witness and the cache's cap.
+    partitions: Mutex<Vec<Arc<Partition>>>,
+}
+
+/// A LUT's §5.6 segment layout at one segment length
+/// (`crate::partition`): per segment, the padded segment [`Lut`] and the
+/// image its pLUTo and master subarrays adopt.
+#[derive(Debug)]
+pub(crate) struct Partition {
+    segment_rows: usize,
+    /// `(segment LUT, segment image)` in segment order.
+    pub(crate) segments: Vec<(Lut, RowImage)>,
+}
+
+impl Partition {
+    /// Cuts `lut`'s image into segments of `segment_rows` rows. Segments
+    /// keep the parent's slot layout, so their rows *are* the parent's
+    /// rows. A tail segment is padded to a power of two with masked-out
+    /// zero elements, stored as zero rows: inputs are validated against
+    /// the parent length, so a pad row can never match.
+    fn build(lut: &Lut, image: &RowImage, segment_rows: usize) -> Result<Self, PlutoError> {
+        let segments = (0..lut.len().div_ceil(segment_rows))
+            .map(|k| {
+                let base = k * segment_rows;
+                let end = (base + segment_rows).min(lut.len());
+                let mut elements = lut.elements()[base..end].to_vec();
+                elements.resize((end - base).next_power_of_two(), 0);
+                let len = elements.len();
+                let seg = Lut::from_table(
+                    format!("{}@seg{k}", lut.name()),
+                    len.trailing_zeros(),
+                    lut.output_bits(),
+                    elements,
+                )?
+                .with_min_slot_bits(lut.slot_bits());
+                debug_assert_eq!(
+                    seg.slot_bits(),
+                    lut.slot_bits(),
+                    "segment layout must match the unpartitioned layout"
+                );
+                Ok((seg, image.segment(base..end, len)))
+            })
+            .collect::<Result<_, PlutoError>>()?;
+        Ok(Partition {
+            segment_rows,
+            segments,
+        })
+    }
 }
 
 #[derive(Debug, Default)]
 struct PackedCache {
-    entries: HashMap<PackedKey, Vec<PackedEntry>>,
+    entries: HashMap<PackedKey, Vec<Arc<PackedEntry>>>,
     hits: u64,
     misses: u64,
+}
+
+impl PackedCache {
+    fn find(&self, key: &PackedKey, lut: &Lut) -> Option<&Arc<PackedEntry>> {
+        self.entries.get(key)?.iter().find(|e| {
+            Arc::ptr_eq(&e.elements, lut.elements_shared())
+                || *e.elements == **lut.elements_shared()
+        })
+    }
 }
 
 /// Variant count beyond which the cache resets (a deterministic guard
@@ -65,23 +135,16 @@ fn packed_cache() -> &'static Mutex<PackedCache> {
     CACHE.get_or_init(|| Mutex::new(PackedCache::default()))
 }
 
-/// Returns the fully packed element rows for `lut` on a `row_bytes`
-/// geometry — row *i* holds element *i* replicated across every slot —
-/// serving repeated loads of the same LUT (re-runs, pooled cluster
-/// machines, GSA workload streams) from a process-wide cache of shared
-/// rows instead of re-packing.
+/// Returns the cache entry holding the fully packed image of `lut` on a
+/// `row_bytes` geometry — row *i* holds element *i* replicated across
+/// every slot — packing it on a miss. Counts one hit or one miss.
 ///
-/// Purely a *load-time* optimization: the cached rows enter the engine as
-/// copy-on-write handles ([`Engine::poke_rows_shared`]), so later in-DRAM
-/// mutation (GSA destruction, row writes) replaces the DRAM-side handle
-/// and can never leak back into the cache. Cache identity is the full
-/// element table, compared on every hit — stale or aliased rows are
-/// structurally impossible.
-///
-/// A partitioned LUT's segments slice this same parent-keyed entry
-/// (`pluto_core::partition`), so an N-segment load is one cache lookup
-/// and one identity check, not N `name@segK` entries.
-pub(crate) fn packed_rows(lut: &Lut, row_bytes: usize) -> Arc<Vec<Arc<Vec<u8>>>> {
+/// Cache identity is the full element table, compared on every hit, so
+/// stale or aliased rows are structurally impossible. The lookup holds
+/// the lock only briefly; the O(lut_len × row_bytes) packing runs
+/// *unlocked* so one worker's miss on a large LUT never stalls other
+/// cluster workers' loads.
+fn packed_entry(lut: &Lut, row_bytes: usize) -> Arc<PackedEntry> {
     let key = PackedKey {
         name: lut.name().to_string(),
         input_bits: lut.input_bits(),
@@ -89,60 +152,80 @@ pub(crate) fn packed_rows(lut: &Lut, row_bytes: usize) -> Arc<Vec<Arc<Vec<u8>>>>
         slot_bits: lut.slot_bits(),
         row_bytes,
     };
-    // Lookup holds the lock only briefly; the O(lut_len × row_bytes)
-    // packing below runs *unlocked* so one worker's miss on a large LUT
-    // never stalls other cluster workers' loads.
-    if let Some(rows) = lookup_packed(&key, lut) {
-        return rows;
-    }
-    let rows = Arc::new(pack_element_rows(lut, row_bytes));
-    let mut cache = packed_cache().lock().expect("packed-row cache poisoned");
-    // Another worker may have packed the same LUT while we were
-    // unlocked — prefer its entry so all loads share one allocation.
-    if let Some(variants) = cache.entries.get(&key) {
-        if let Some(entry) = variants.iter().find(|e| entry_matches(e, lut)) {
-            return Arc::clone(&entry.rows);
+    {
+        let mut cache = lock_recover(packed_cache());
+        if let Some(entry) = cache.find(&key, lut).map(Arc::clone) {
+            cache.hits += 1;
+            return entry;
         }
+        cache.misses += 1;
+    }
+    let image = pack_image(lut, row_bytes);
+    let mut cache = lock_recover(packed_cache());
+    // Another worker may have packed the same LUT while we were
+    // unlocked — prefer its entry so all loads share one image.
+    if let Some(entry) = cache.find(&key, lut) {
+        return Arc::clone(entry);
     }
     if cache.entries.values().map(Vec::len).sum::<usize>() >= PACKED_CACHE_CAP {
         cache.entries.clear();
     }
-    cache.entries.entry(key).or_default().push(PackedEntry {
+    let entry = Arc::new(PackedEntry {
         elements: Arc::clone(lut.elements_shared()),
-        rows: Arc::clone(&rows),
+        image,
+        partitions: Mutex::default(),
     });
-    rows
-}
-
-fn entry_matches(entry: &PackedEntry, lut: &Lut) -> bool {
-    Arc::ptr_eq(&entry.elements, lut.elements_shared())
-        || *entry.elements == **lut.elements_shared()
-}
-
-/// Cache lookup under a short-lived lock, bumping the hit/miss counters.
-fn lookup_packed(key: &PackedKey, lut: &Lut) -> Option<Arc<Vec<Arc<Vec<u8>>>>> {
-    let mut cache = packed_cache().lock().expect("packed-row cache poisoned");
-    let hit = cache
+    cache
         .entries
-        .get(key)
-        .and_then(|variants| variants.iter().find(|e| entry_matches(e, lut)))
-        .map(|entry| Arc::clone(&entry.rows));
-    match hit {
-        Some(_) => cache.hits += 1,
-        None => cache.misses += 1,
+        .entry(key)
+        .or_default()
+        .push(Arc::clone(&entry));
+    entry
+}
+
+/// The cached image of `lut` on a `row_bytes` geometry: what a
+/// single-subarray store's pLUTo and master subarrays adopt.
+///
+/// Purely a *load-time* optimization: the image enters the engine as a
+/// copy-on-write table ([`Engine::poke_rows_shared`]), so later in-DRAM
+/// mutation (GSA destruction, row writes) copies the table and replaces
+/// row handles on the DRAM side and can never leak back into the cache.
+pub(crate) fn packed_image(lut: &Lut, row_bytes: usize) -> RowImage {
+    packed_entry(lut, row_bytes).image.clone()
+}
+
+/// The cached §5.6 layout of `lut` at `segment_rows` rows per segment,
+/// cut from the same entry as [`packed_image`]: an N-segment load is one
+/// cache lookup and one identity check, and every load after the first
+/// reuses the segment `Lut`s and images.
+///
+/// # Errors
+/// Fails if a segment LUT cannot be built.
+pub(crate) fn packed_partition(
+    lut: &Lut,
+    row_bytes: usize,
+    segment_rows: usize,
+) -> Result<Arc<Partition>, PlutoError> {
+    let entry = packed_entry(lut, row_bytes);
+    let mut partitions = lock_recover(&entry.partitions);
+    if let Some(partition) = partitions.iter().find(|p| p.segment_rows == segment_rows) {
+        return Ok(Arc::clone(partition));
     }
-    hit
+    let partition = Arc::new(Partition::build(lut, &entry.image, segment_rows)?);
+    partitions.push(Arc::clone(&partition));
+    Ok(partition)
 }
 
 /// The packing work the cache elides: one fully packed row per element,
 /// the element replicated across every slot — a single pass over the
 /// element table.
-fn pack_element_rows(lut: &Lut, row_bytes: usize) -> Vec<Arc<Vec<u8>>> {
+fn pack_image(lut: &Lut, row_bytes: usize) -> RowImage {
     let slot_bits = lut.slot_bits();
     let per_row = slots_per_row(row_bytes, slot_bits);
     let mut values = vec![0u64; per_row];
     let mut row = Vec::new();
-    lut.elements()
+    let rows = lut
+        .elements()
         .iter()
         .map(|&elem| {
             values.fill(elem);
@@ -150,15 +233,16 @@ fn pack_element_rows(lut: &Lut, row_bytes: usize) -> Vec<Arc<Vec<u8>>> {
             // construction, so they always fit the slot.
             pack_slots_into(&values, slot_bits, row_bytes, &mut row)
                 .expect("validated elements always pack");
-            Arc::new(row.clone())
+            Some(Arc::new(row.clone()))
         })
-        .collect()
+        .collect();
+    RowImage::new(rows, row_bytes).expect("packed rows are one row wide")
 }
 
 /// Hit/miss/occupancy counters of the packed-row cache (for tests and the
 /// bench harness; counters are process-wide and monotonic).
 pub fn packed_cache_stats() -> PackedCacheStats {
-    let cache = packed_cache().lock().expect("packed-row cache poisoned");
+    let cache = lock_recover(packed_cache());
     PackedCacheStats {
         hits: cache.hits,
         misses: cache.misses,
@@ -190,10 +274,14 @@ impl LutStore {
     /// trade-off is a separate study (paper §8.5 / Fig. 11, reproduced in
     /// [`crate::loading`]).
     ///
+    /// The packed image comes from the process-wide cache: repeated loads
+    /// of the same LUT (pooled machines after a reset, GSA streams) skip
+    /// the packing, and each empty subarray adopts the image as one
+    /// copy-on-write handle, so the load costs O(1) per subarray.
+    ///
     /// # Errors
     /// Fails if the LUT has more elements than the subarray has rows, the
-    /// master range overflows its subarray, `master == subarray`, or an
-    /// element row cannot be packed.
+    /// master range overflows its subarray, or `master == subarray`.
     pub fn load(
         engine: &mut Engine,
         lut: Lut,
@@ -202,98 +290,36 @@ impl LutStore {
         master: SubarrayId,
         master_row_base: u16,
     ) -> Result<Self, PlutoError> {
-        let cfg = engine.config().clone();
-        if lut.len() > cfg.rows_per_subarray as usize {
-            return Err(PlutoError::InvalidLut {
-                reason: format!(
-                    "{} elements exceed the {}-row subarray (partition across subarrays instead, §5.6)",
-                    lut.len(),
-                    cfg.rows_per_subarray
-                ),
-            });
-        }
-        if master == subarray {
-            return Err(PlutoError::AllocationFailed {
-                reason: "master copy must live in a different subarray".into(),
-            });
-        }
-        if master_row_base as usize + lut.len() > cfg.rows_per_subarray as usize {
-            return Err(PlutoError::AllocationFailed {
-                reason: format!(
-                    "master rows {}..{} overflow the {}-row subarray",
-                    master_row_base,
-                    master_row_base as usize + lut.len(),
-                    cfg.rows_per_subarray
-                ),
-            });
-        }
-        // Packed element rows come from the process-wide cache: repeated
-        // loads of the same LUT (pooled cluster machines, GSA streams)
-        // skip the packing work entirely, and the bulk poke shares the
-        // cached rows into DRAM as copy-on-write handles (a repeat load
-        // of an unchanged table moves no bytes at all).
-        let rows = packed_rows(&lut, cfg.row_bytes);
-        engine.poke_rows_shared(bank, subarray, RowId(0), &rows)?;
-        engine.poke_rows_shared(bank, master, RowId(master_row_base), &rows)?;
-        Ok(LutStore {
-            lut,
-            bank,
-            subarray,
-            master,
-            master_row_base,
-            loaded: true,
-        })
+        check_placement(engine, lut.len(), subarray, master, master_row_base)?;
+        let image = packed_image(&lut, engine.config().row_bytes);
+        LutStore::load_image(engine, lut, bank, subarray, master, master_row_base, &image)
     }
 
-    /// Materializes a LUT whose packed rows the caller already holds — the
-    /// partitioned path, where every segment is a slice of the parent's
-    /// single cached pack plus shared zero-padding rows. Performs the same
-    /// placement validation as [`LutStore::load`] but no cache lookup and
-    /// no packing; `rows` must hold exactly `lut.len()` packed rows.
+    /// Materializes a LUT whose image the caller already holds — the
+    /// partitioned path, where every segment's image is cut from the
+    /// parent's cache entry. Performs the same placement validation as
+    /// [`LutStore::load`] but no cache lookup; `image` must hold exactly
+    /// `lut.len()` rows.
     ///
     /// # Errors
     /// Same conditions as [`LutStore::load`], plus a row-count mismatch.
-    pub(crate) fn load_sliced(
+    pub(crate) fn load_image(
         engine: &mut Engine,
         lut: Lut,
         bank: BankId,
         subarray: SubarrayId,
         master: SubarrayId,
         master_row_base: u16,
-        rows: &[Arc<Vec<u8>>],
+        image: &RowImage,
     ) -> Result<Self, PlutoError> {
-        let cfg = engine.config();
-        if rows.len() != lut.len() {
+        if image.len() != lut.len() {
             return Err(PlutoError::InvalidLut {
-                reason: format!("{} packed rows for a {}-element LUT", rows.len(), lut.len()),
+                reason: format!("{} image rows for a {}-element LUT", image.len(), lut.len()),
             });
         }
-        if lut.len() > cfg.rows_per_subarray as usize {
-            return Err(PlutoError::InvalidLut {
-                reason: format!(
-                    "{} elements exceed the {}-row subarray (partition across subarrays instead, §5.6)",
-                    lut.len(),
-                    cfg.rows_per_subarray
-                ),
-            });
-        }
-        if master == subarray {
-            return Err(PlutoError::AllocationFailed {
-                reason: "master copy must live in a different subarray".into(),
-            });
-        }
-        if master_row_base as usize + lut.len() > cfg.rows_per_subarray as usize {
-            return Err(PlutoError::AllocationFailed {
-                reason: format!(
-                    "master rows {}..{} overflow the {}-row subarray",
-                    master_row_base,
-                    master_row_base as usize + lut.len(),
-                    cfg.rows_per_subarray
-                ),
-            });
-        }
-        engine.poke_rows_shared(bank, subarray, RowId(0), rows)?;
-        engine.poke_rows_shared(bank, master, RowId(master_row_base), rows)?;
+        check_placement(engine, lut.len(), subarray, master, master_row_base)?;
+        engine.poke_rows_shared(bank, subarray, RowId(0), image)?;
+        engine.poke_rows_shared(bank, master, RowId(master_row_base), image)?;
         Ok(LutStore {
             lut,
             bank,
@@ -413,6 +439,39 @@ impl LutStore {
         }
         Ok(())
     }
+}
+
+/// Validates a `len`-row LUT's placement in `subarray` with its master
+/// copy at rows `master_row_base..` of `master`.
+fn check_placement(
+    engine: &Engine,
+    len: usize,
+    subarray: SubarrayId,
+    master: SubarrayId,
+    master_row_base: u16,
+) -> Result<(), PlutoError> {
+    let rows = engine.config().rows_per_subarray as usize;
+    if len > rows {
+        return Err(PlutoError::InvalidLut {
+            reason: format!(
+                "{len} elements exceed the {rows}-row subarray (partition across subarrays instead, §5.6)"
+            ),
+        });
+    }
+    if master == subarray {
+        return Err(PlutoError::AllocationFailed {
+            reason: "master copy must live in a different subarray".into(),
+        });
+    }
+    if master_row_base as usize + len > rows {
+        return Err(PlutoError::AllocationFailed {
+            reason: format!(
+                "master rows {master_row_base}..{} overflow the {rows}-row subarray",
+                master_row_base as usize + len
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -549,6 +608,26 @@ mod tests {
         let mut e2 = engine();
         let s2 = LutStore::load(&mut e2, lut, BankId(0), SubarrayId(1), SubarrayId(0), 60).unwrap();
         assert_eq!(e2.peek_row(s2.element_row(1)).unwrap(), pristine);
+    }
+
+    #[test]
+    fn loads_survive_a_poisoned_cache_lock() {
+        let poisoner = std::thread::spawn(|| {
+            let _guard = lock_recover(packed_cache());
+            panic!("poisoning the packed-row cache on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(packed_cache().is_poisoned());
+        let lut = Lut::from_table("poison-probe", 2, 4, vec![1, 2, 3, 4]).unwrap();
+        let mut e = engine();
+        let store =
+            LutStore::load(&mut e, lut, BankId(0), SubarrayId(2), SubarrayId(3), 0).unwrap();
+        assert!(e
+            .peek_row(store.element_row(3))
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0x44));
+        assert!(packed_cache_stats().entries > 0);
     }
 
     #[test]

@@ -6,9 +6,19 @@
 //!
 //! This module is *purely functional*: it models what data ends up where,
 //! with no notion of time or energy (that is [`crate::engine`]'s job).
+//!
+//! Row storage is copy-on-write at two levels. A subarray's row table is
+//! one shared image (`Arc<Vec<Option<Arc<Vec<u8>>>>>`), and each row in it
+//! is a shared handle. A zero-cost LUT load ([`MemoryArray::set_rows_shared`])
+//! adopts a prebuilt [`RowImage`] wholesale, so loading a LUT onto a fresh
+//! array and dropping that array both cost O(1) per subarray, not O(rows).
+//! Every mutation first takes the table with `Arc::make_mut` (cloning the
+//! handles only while the image is still shared) and then replaces the
+//! row's handle, so a write never reaches the image or any other holder.
 
 use crate::error::DramError;
 use crate::geometry::{BankId, DramConfig, RowId, RowLoc, SubarrayId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -38,14 +48,80 @@ impl RowBuffer {
 /// Row storage of one subarray: a dense, lazily grown vector indexed by
 /// row id (`None` = never written, reads as zeros). Rows are held behind
 /// `Arc` with copy-on-write discipline — every mutation either replaces
-/// the slot or writes through `Arc::get_mut` when sole owner — so bulk
-/// loads from the packed-row cache and master→pLUTo reload copies are
-/// O(1) handle clones per row instead of row-byte memcpys.
+/// the slot or writes through `Arc::get_mut` when sole owner — so
+/// master→pLUTo reload copies are O(1) handle clones per row instead of
+/// row-byte memcpys.
 type RowSlots = Vec<Option<Arc<Vec<u8>>>>;
+
+/// An immutable subarray row table: slot `i` is row `i`, and `None` reads
+/// as zeros. This is the unit a zero-cost LUT load places
+/// ([`MemoryArray::set_rows_shared`]): cloning an image clones one
+/// handle, and a subarray that adopts it shares every row with the image
+/// until it writes one. Every row has the width the image was built
+/// for, checked once when it is built.
+#[derive(Debug, Clone)]
+pub struct RowImage {
+    rows: Arc<RowSlots>,
+    row_bytes: usize,
+}
+
+impl RowImage {
+    /// Builds an image from `rows` (`None` = an all-zeros row).
+    ///
+    /// # Errors
+    /// Fails if a row is not exactly `row_bytes` wide.
+    pub fn new(rows: RowSlots, row_bytes: usize) -> Result<Self, DramError> {
+        if let Some(bad) = rows.iter().flatten().find(|r| r.len() != row_bytes) {
+            return Err(DramError::RowSizeMismatch {
+                expected: row_bytes,
+                actual: bad.len(),
+            });
+        }
+        Ok(RowImage {
+            rows: Arc::new(rows),
+            row_bytes,
+        })
+    }
+
+    /// Rows `range` of this image followed by zero rows up to `len` rows
+    /// in total: a padded segment of a larger table. The rows are shared
+    /// with this image and need no second width check.
+    ///
+    /// # Panics
+    /// Panics if `range` is out of bounds or longer than `len`.
+    pub fn segment(&self, range: std::ops::Range<usize>, len: usize) -> RowImage {
+        assert!(
+            range.len() <= len,
+            "segment of {len} rows cannot hold {range:?}"
+        );
+        let mut rows = Vec::with_capacity(len);
+        rows.extend_from_slice(&self.rows[range]);
+        rows.resize(len, None);
+        RowImage {
+            rows: Arc::new(rows),
+            row_bytes: self.row_bytes,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the image has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows (`None` = an all-zeros row).
+    pub fn rows(&self) -> &[Option<Arc<Vec<u8>>>] {
+        &self.rows
+    }
+}
 
 #[derive(Debug, Clone, Default)]
 struct SubarrayState {
-    rows: RowSlots,
+    rows: Arc<RowSlots>,
     buffer: Option<RowBuffer>,
 }
 
@@ -56,12 +132,17 @@ impl SubarrayState {
 
     /// The (growable) slot for a row; bounds must already be checked.
     fn row_slot(&mut self, row: RowId) -> &mut Option<Arc<Vec<u8>>> {
-        let idx = row.0 as usize;
-        if self.rows.len() <= idx {
-            self.rows.resize(idx + 1, None);
-        }
-        &mut self.rows[idx]
+        grow_slot(Arc::make_mut(&mut self.rows), row)
     }
+}
+
+/// The slot for `row` in a row table, growing the table to reach it.
+fn grow_slot(rows: &mut RowSlots, row: RowId) -> &mut Option<Arc<Vec<u8>>> {
+    let idx = row.0 as usize;
+    if rows.len() <= idx {
+        rows.resize(idx + 1, None);
+    }
+    &mut rows[idx]
 }
 
 /// Stores `data` into a row slot, reusing the existing allocation when
@@ -165,54 +246,63 @@ impl MemoryArray {
         Ok(())
     }
 
-    /// Bulk zero-cost row fill from shared packed rows: row `first + i`
-    /// of the subarray becomes `rows[i]`. Slots that already hold the
-    /// same `Arc` (a repeated load of a cached LUT) are skipped, so the
-    /// steady-state load of an unchanged table is O(1) per row with no
-    /// byte copies at all.
+    /// Bulk zero-cost row fill from an image: row `first + i` of the
+    /// subarray becomes row `i` of `image`. A subarray that holds no rows
+    /// adopts the image wholesale when `first` is 0 — one handle clone,
+    /// however many rows — and a subarray already holding this very image
+    /// is left as it is. Otherwise the rows are filled one handle at a
+    /// time. Row widths were checked when the image was built, so only
+    /// the image's recorded width is compared here.
     ///
     /// # Errors
-    /// Fails if the row range is out of bounds or a stored row is not
-    /// exactly one row wide. Width is only checked on rows actually
-    /// stored — a pointer-equal slot was validated when first stored —
-    /// so a mixed-width slice may error after earlier rows were written.
+    /// Fails if the row range is out of bounds or the image's rows are not
+    /// exactly one row wide.
     pub fn set_rows_shared(
         &mut self,
         bank: BankId,
         subarray: SubarrayId,
         first: RowId,
-        rows: &[Arc<Vec<u8>>],
+        image: &RowImage,
     ) -> Result<(), DramError> {
-        let Some(count) = check_row_range(self, bank, subarray, first, rows.len())? else {
+        if image.row_bytes != self.cfg.row_bytes {
+            return Err(DramError::RowSizeMismatch {
+                expected: self.cfg.row_bytes,
+                actual: image.row_bytes,
+            });
+        }
+        let Some(count) = check_row_range(self, bank, subarray, first, image.len())? else {
             return Ok(());
         };
-        let row_bytes = self.cfg.row_bytes;
-        let sa = self.sa(bank, subarray);
-        let base = first.0 as usize;
-        if sa.rows.len() < base + count {
-            sa.rows.resize(base + count, None);
-        }
-        for (slot, data) in sa.rows[base..base + count].iter_mut().zip(rows) {
-            match slot {
-                Some(existing) if Arc::ptr_eq(existing, data) => {}
-                _ => {
-                    if data.len() != row_bytes {
-                        return Err(DramError::RowSizeMismatch {
-                            expected: row_bytes,
-                            actual: data.len(),
-                        });
-                    }
-                    *slot = Some(Arc::clone(data));
-                }
+        let sa = match self.subarrays.entry((bank, subarray)) {
+            Entry::Vacant(slot) if first.0 == 0 => {
+                slot.insert(SubarrayState {
+                    rows: Arc::clone(&image.rows),
+                    buffer: None,
+                });
+                return Ok(());
             }
+            entry => entry.or_default(),
+        };
+        if first.0 == 0 && (sa.rows.is_empty() || Arc::ptr_eq(&sa.rows, &image.rows)) {
+            sa.rows = Arc::clone(&image.rows);
+            return Ok(());
         }
+        let base = first.0 as usize;
+        let rows = Arc::make_mut(&mut sa.rows);
+        if rows.len() < base + count {
+            rows.resize(base + count, None);
+        }
+        rows[base..base + count].clone_from_slice(&image.rows);
         Ok(())
     }
 
     /// Bulk functional row copy between two subarrays of one bank: row
     /// `to_first + i` becomes a shared handle to row `from_first + i`
     /// (missing source rows clear the destination slot — both read as
-    /// zeros). Copy-on-write keeps the two subarrays independent.
+    /// zeros). Copy-on-write keeps the two subarrays independent. A
+    /// destination that holds no rows adopts the source's whole table
+    /// when the copy starts at row 0 on both sides and covers every
+    /// source row (the GSA reload of a freshly destroyed subarray).
     ///
     /// # Errors
     /// Fails if either row range is out of bounds.
@@ -230,24 +320,28 @@ impl MemoryArray {
         {
             return Ok(());
         }
-        let handles: Vec<Option<Arc<Vec<u8>>>> = {
-            let src = self.subarrays.get(&(bank, from));
-            (0..count)
-                .map(|i| {
-                    src.and_then(|sa| sa.row_ref(RowId(from_first.0 + i as u16)))
-                        .cloned()
-                })
-                .collect()
-        };
-        let sa = self.sa(bank, to);
-        for (i, handle) in handles.into_iter().enumerate() {
-            *sa.row_slot(RowId(to_first.0 + i as u16)) = handle;
+        let src = self
+            .subarrays
+            .get(&(bank, from))
+            .map(|sa| Arc::clone(&sa.rows))
+            .unwrap_or_default();
+        let dst = self.sa(bank, to);
+        if from_first.0 == 0 && to_first.0 == 0 && count >= src.len() && dst.rows.is_empty() {
+            dst.rows = src;
+            return Ok(());
+        }
+        let rows = Arc::make_mut(&mut dst.rows);
+        for i in 0..count {
+            let handle = src.get(from_first.0 as usize + i).cloned().flatten();
+            *grow_slot(rows, RowId(to_first.0 + i as u16)) = handle;
         }
         Ok(())
     }
 
     /// Bulk functional row clear: rows `first .. first + count` of the
-    /// subarray revert to the never-written state (read as zeros).
+    /// subarray revert to the never-written state (read as zeros). A clear
+    /// that covers every stored row drops the subarray's table instead of
+    /// copying it first.
     ///
     /// # Errors
     /// Fails if the row range is out of bounds.
@@ -262,8 +356,15 @@ impl MemoryArray {
             return Ok(());
         };
         let sa = self.sa(bank, subarray);
-        for i in 0..count {
-            *sa.row_slot(RowId(first.0 + i as u16)) = None;
+        let first = first.0 as usize;
+        let end = (first + count).min(sa.rows.len());
+        if first >= end {
+            return Ok(());
+        }
+        if first == 0 && end == sa.rows.len() {
+            sa.rows = Arc::default();
+        } else {
+            Arc::make_mut(&mut sa.rows)[first..end].fill(None);
         }
         Ok(())
     }
@@ -435,11 +536,7 @@ impl MemoryArray {
         if let Some(open) = dst.open_row {
             let SubarrayState { rows, buffer } = self.sa(bank, to);
             let data = &buffer.as_ref().expect("buffer created above").data;
-            let idx = open.0 as usize;
-            if rows.len() <= idx {
-                rows.resize(idx + 1, None);
-            }
-            store_bytes(&mut rows[idx], data);
+            store_bytes(grow_slot(Arc::make_mut(rows), open), data);
         }
         // Hand the (unchanged) source data back to its buffer.
         std::mem::swap(
@@ -937,18 +1034,28 @@ mod tests {
         assert!(arr.read_row_into(RowLoc::new(9, 0, 0), &mut buf).is_err());
     }
 
+    /// A four-row image: row `i` holds `i + 1` in every byte.
+    fn image4() -> RowImage {
+        RowImage::new(
+            (0..4u8).map(|i| Some(Arc::new(vec![i + 1; 8]))).collect(),
+            8,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn bulk_shared_rows_copy_clear_and_cow() {
         let mut arr = MemoryArray::new(tiny_cfg());
-        let rows: Vec<Arc<Vec<u8>>> = (0..4u8).map(|i| Arc::new(vec![i + 1; 8])).collect();
-        arr.set_rows_shared(BankId(0), SubarrayId(0), RowId(2), &rows)
+        let image = image4();
+        arr.set_rows_shared(BankId(0), SubarrayId(0), RowId(2), &image)
             .unwrap();
         assert_eq!(arr.row(RowLoc::new(0, 0, 3)).unwrap(), vec![2; 8]);
-        // Repeat loads of the same handles are idempotent.
-        arr.set_rows_shared(BankId(0), SubarrayId(0), RowId(2), &rows)
+        // Repeat loads of the same image are idempotent.
+        arr.set_rows_shared(BankId(0), SubarrayId(0), RowId(2), &image)
             .unwrap();
+        assert_eq!(arr.row(RowLoc::new(0, 0, 5)).unwrap(), vec![4; 8]);
         // Copy into a second subarray, then mutate the copy: COW keeps
-        // the source rows (and the caller's Arcs) intact.
+        // the source rows (and the image) intact.
         arr.copy_rows(
             BankId(0),
             SubarrayId(0),
@@ -961,17 +1068,19 @@ mod tests {
         assert_eq!(arr.row(RowLoc::new(0, 1, 1)).unwrap(), vec![2; 8]);
         arr.set_row(RowLoc::new(0, 1, 1), &[9; 8]).unwrap();
         assert_eq!(arr.row(RowLoc::new(0, 0, 3)).unwrap(), vec![2; 8]);
-        assert_eq!(*rows[1], vec![2u8; 8]);
+        assert_eq!(image.rows()[1].as_deref(), Some(&vec![2u8; 8]));
         // Clearing reverts rows to the never-written (all-zeros) state.
         arr.clear_rows(BankId(0), SubarrayId(0), RowId(2), 4)
             .unwrap();
         assert_eq!(arr.row(RowLoc::new(0, 0, 3)).unwrap(), vec![0; 8]);
         // Bounds and row-width violations are rejected.
         assert!(arr
-            .set_rows_shared(BankId(0), SubarrayId(0), RowId(14), &rows)
+            .set_rows_shared(BankId(0), SubarrayId(0), RowId(14), &image)
             .is_err());
+        assert!(RowImage::new(vec![Some(Arc::new(vec![0; 3]))], 8).is_err());
+        let narrow = RowImage::new(vec![Some(Arc::new(vec![0; 3]))], 3).unwrap();
         assert!(arr
-            .set_rows_shared(BankId(0), SubarrayId(0), RowId(0), &[Arc::new(vec![0; 3])])
+            .set_rows_shared(BankId(0), SubarrayId(0), RowId(0), &narrow)
             .is_err());
         assert!(arr
             .copy_rows(
@@ -989,6 +1098,117 @@ mod tests {
         // Empty ranges are no-ops.
         arr.clear_rows(BankId(0), SubarrayId(0), RowId(0), 0)
             .unwrap();
+    }
+
+    #[test]
+    fn segments_share_rows_and_pad_with_zeros() {
+        let image = image4();
+        let seg = image.segment(2..4, 4);
+        assert_eq!(seg.len(), 4);
+        assert!(Arc::ptr_eq(
+            seg.rows()[0].as_ref().unwrap(),
+            image.rows()[2].as_ref().unwrap()
+        ));
+        let mut arr = MemoryArray::new(tiny_cfg());
+        arr.set_rows_shared(BankId(0), SubarrayId(0), RowId(0), &seg)
+            .unwrap();
+        assert_eq!(arr.row(RowLoc::new(0, 0, 1)).unwrap(), vec![4; 8]);
+        assert_eq!(arr.row(RowLoc::new(0, 0, 3)).unwrap(), vec![0; 8]);
+    }
+
+    /// One image adopted by two subarrays of one array and by a subarray
+    /// of a second array. Each mutation path, applied to one holder,
+    /// changes that holder only: the image and every other holder still
+    /// read the image's rows.
+    #[test]
+    fn adopted_image_copies_on_write_per_subarray() {
+        type Mutation = fn(&mut MemoryArray, SubarrayId);
+        // Subarray 3 of each array is scratch: the source of the copy and
+        // of the LISA movement, never a holder.
+        let mutations: [(&str, Mutation); 4] = [
+            ("set_row", |arr, sa| {
+                arr.set_row(RowLoc::new(0, sa.0, 1), &[0xEE; 8]).unwrap();
+            }),
+            ("clear_rows", |arr, sa| {
+                arr.clear_rows(BankId(0), sa, RowId(1), 2).unwrap();
+            }),
+            ("copy_rows", |arr, sa| {
+                arr.set_row(RowLoc::new(0, 3, 0), &[0xCC; 8]).unwrap();
+                arr.copy_rows(BankId(0), SubarrayId(3), RowId(0), sa, RowId(2), 1)
+                    .unwrap();
+            }),
+            ("lisa write-through", |arr, sa| {
+                arr.activate(RowLoc::new(0, sa.0, 3), false).unwrap();
+                arr.deposit_buffer(BankId(0), SubarrayId(3), &[0xDD; 8]);
+                arr.lisa_rbm(BankId(0), SubarrayId(3), sa).unwrap();
+                arr.precharge(BankId(0), sa);
+            }),
+        ];
+        let image = image4();
+        let pristine: Vec<Vec<u8>> = image.rows().iter().flatten().map(|r| r.to_vec()).collect();
+        let read = |arr: &MemoryArray, sa: u16| -> Vec<Vec<u8>> {
+            (0..4)
+                .map(|r| arr.row(RowLoc::new(0, sa, r)).unwrap())
+                .collect()
+        };
+        let holders = [(0usize, 0u16), (0, 1), (1, 0)];
+        for (name, mutate) in mutations {
+            for &(target_arr, target_sa) in &holders {
+                let mut arrays = [MemoryArray::new(tiny_cfg()), MemoryArray::new(tiny_cfg())];
+                for &(a, sa) in &holders {
+                    arrays[a]
+                        .set_rows_shared(BankId(0), SubarrayId(sa), RowId(0), &image)
+                        .unwrap();
+                }
+                mutate(&mut arrays[target_arr], SubarrayId(target_sa));
+                for &(a, sa) in &holders {
+                    let rows = read(&arrays[a], sa);
+                    if (a, sa) == (target_arr, target_sa) {
+                        assert_ne!(rows, pristine, "{name} changed its target");
+                    } else {
+                        assert_eq!(
+                            rows, pristine,
+                            "{name} on {target_arr}/{target_sa} leaked into {a}/{sa}"
+                        );
+                    }
+                }
+                let now: Vec<Vec<u8>> = image.rows().iter().flatten().map(|r| r.to_vec()).collect();
+                assert_eq!(now, pristine, "{name} leaked into the image");
+            }
+        }
+    }
+
+    #[test]
+    fn adoption_shares_the_table_and_clones_no_row_handles() {
+        let image = image4();
+        let row = Arc::clone(image.rows()[0].as_ref().unwrap());
+        let before = Arc::strong_count(&row);
+        let mut arr = MemoryArray::new(tiny_cfg());
+        arr.set_rows_shared(BankId(0), SubarrayId(0), RowId(0), &image)
+            .unwrap();
+        arr.set_rows_shared(BankId(0), SubarrayId(1), RowId(0), &image)
+            .unwrap();
+        assert_eq!(Arc::strong_count(&row), before, "adoption is O(1)");
+        // A full clear drops the adopted table; a whole-table copy into
+        // the cleared subarray adopts the source's table again.
+        arr.clear_rows(BankId(0), SubarrayId(0), RowId(0), 16)
+            .unwrap();
+        arr.copy_rows(
+            BankId(0),
+            SubarrayId(1),
+            RowId(0),
+            SubarrayId(0),
+            RowId(0),
+            4,
+        )
+        .unwrap();
+        assert_eq!(Arc::strong_count(&row), before);
+        assert_eq!(arr.row(RowLoc::new(0, 0, 2)).unwrap(), vec![3; 8]);
+        // An offset fill cannot adopt, so it fills row by row.
+        arr.set_rows_shared(BankId(0), SubarrayId(2), RowId(4), &image)
+            .unwrap();
+        assert_eq!(Arc::strong_count(&row), before + 1);
+        assert_eq!(arr.row(RowLoc::new(0, 2, 4)).unwrap(), vec![1; 8]);
     }
 
     #[test]

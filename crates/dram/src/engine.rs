@@ -14,7 +14,7 @@
 //! is unaffected by parallelism (paper §8.3), so the engine's accumulator is
 //! authoritative in both cases.
 
-use crate::array::{MemoryArray, RowBuffer};
+use crate::array::{MemoryArray, RowBuffer, RowImage};
 use crate::command::{Command, SweepStepKind};
 use crate::energy::EnergyModel;
 use crate::error::DramError;
@@ -26,7 +26,6 @@ use crate::timing_model::{
 };
 use crate::units::{PicoJoules, Picos};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Command-level DRAM simulator with functional, timing, and energy models.
 #[derive(Debug, Clone)]
@@ -486,22 +485,22 @@ impl Engine {
         self.array.read_row_into(loc, out)
     }
 
-    /// Zero-cost backdoor: bulk row fill from shared packed rows — row
-    /// `first + i` becomes `rows[i]` as a copy-on-write handle, with
-    /// repeat loads of an unchanged table skipped entirely (see
-    /// [`MemoryArray::set_rows_shared`]). This is how a cached segment
-    /// pack lands in DRAM without re-copying a byte.
+    /// Zero-cost backdoor: bulk row fill from a shared image — row
+    /// `first + i` becomes row `i` of `image`, copy-on-write. A subarray
+    /// that holds no rows adopts the whole image as one handle (see
+    /// [`MemoryArray::set_rows_shared`]). This is how a cached LUT image
+    /// lands in DRAM without copying a byte or cloning a row handle.
     ///
     /// # Errors
-    /// Fails on out-of-bounds ranges or mismatched row lengths.
+    /// Fails on out-of-bounds ranges or a mismatched row width.
     pub fn poke_rows_shared(
         &mut self,
         bank: BankId,
         subarray: SubarrayId,
         first: RowId,
-        rows: &[Arc<Vec<u8>>],
+        image: &RowImage,
     ) -> Result<(), DramError> {
-        self.array.set_rows_shared(bank, subarray, first, rows)
+        self.array.set_rows_shared(bank, subarray, first, image)
     }
 
     /// Zero-cost backdoor: reverts rows to the never-written state (read

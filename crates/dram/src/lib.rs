@@ -66,7 +66,7 @@ pub mod timing;
 pub mod timing_model;
 pub mod units;
 
-pub use array::{set_word_at_bit, word_at_bit, MemoryArray, RowBuffer, MAX_FIELD_BITS};
+pub use array::{set_word_at_bit, word_at_bit, MemoryArray, RowBuffer, RowImage, MAX_FIELD_BITS};
 pub use banked::BankedTiming;
 pub use command::{Command, SweepStepKind};
 pub use energy::EnergyModel;

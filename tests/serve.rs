@@ -21,7 +21,10 @@ fn registry_lut(id: WorkloadId) -> Arc<Lut> {
 
 /// Mixed traffic: small latency-class queries against three small
 /// registry LUTs plus heavyweight sweeps against the partitioned
-/// 4096-entry Gamma12 tone map, inputs drawn from a seeded RNG.
+/// 4096-entry Gamma12 tone map, inputs drawn from a seeded RNG. The Add4
+/// table is queried under GMC and under GSA, whose destructive sweeps
+/// clear rows of subarrays that adopted the same cached image the GMC
+/// machines hold.
 fn mixed_traffic(seed: u64) -> Vec<QuerySpec> {
     let add4 = registry_lut(WorkloadId::Add4);
     let bc8 = registry_lut(WorkloadId::Bc8);
@@ -29,12 +32,13 @@ fn mixed_traffic(seed: u64) -> Vec<QuerySpec> {
     let gamma = registry_lut(WorkloadId::Gamma12);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut specs = Vec::new();
-    for i in 0..28u64 {
-        let (lut, modulo, len, design) = match i % 7 {
-            // A sweep every 7th arrival; small queries otherwise.
+    for i in 0..32u64 {
+        let (lut, modulo, len, design) = match i % 8 {
+            // A sweep every 8th arrival; small queries otherwise.
             0 => (&gamma, 4096u64, 24usize, DesignKind::Gmc),
             1 | 4 => (&add4, 256, 6, DesignKind::Gmc),
             2 | 5 => (&bc8, 256, 5, DesignKind::Bsa),
+            7 => (&add4, 256, 6, DesignKind::Gsa),
             _ => (&imgbin, 256, 7, DesignKind::Gmc),
         };
         specs.push(QuerySpec {
