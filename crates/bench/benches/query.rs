@@ -14,7 +14,9 @@
 //!   disabled — the cold cost every first-seen plan key pays), `scalar`
 //!   (the retained scalar reference), and `warm_plan` (the compiled-plan
 //!   cache hot: the query applies a memoized cost tape instead of
-//!   re-simulating every command, `DESIGN.md` §10).
+//!   re-simulating every command, `DESIGN.md` §10). `word`/`warm_plan`
+//!   also run on a full-subarray 512-entry LUT (`full512`), whose
+//!   512-step sweep puts long runs of identical spends on the tape.
 //! * `store` — `LutStore::load` with the packed-row cache warm (the
 //!   pooled-cluster steady state) vs `pack_rows_uncached`, the
 //!   per-element packing work a cache miss performs.
@@ -25,10 +27,12 @@
 //! word-parallel packer is less than 2x the scalar reference on the
 //! packing microbench (1.5x at the narrowest width, where the structural
 //! gap is smallest), if the end-to-end word query is not faster than the
-//! scalar query it replaced, or if a warm-plan query is not at least 2x
-//! faster than the issuing path it memoizes.
+//! scalar query it replaced, or if a warm-plan query (256- or 512-entry
+//! LUT) is not at least 2x faster than the issuing path it memoizes.
 
-use pluto_core::lut::{catalog, pack_slots, pack_slots_scalar, unpack_slots, unpack_slots_scalar};
+use pluto_core::lut::{
+    catalog, pack_slots, pack_slots_scalar, slots_per_row, unpack_slots, unpack_slots_scalar, Lut,
+};
 use pluto_core::query::{QueryExecutor, QueryPlacement, QueryScratch};
 use pluto_core::store::LutStore;
 use pluto_core::DesignKind;
@@ -94,7 +98,15 @@ fn query_engine() -> Engine {
 }
 
 fn query_setup(e: &mut Engine) -> (LutStore, QueryPlacement) {
-    let lut = catalog::binarize(128).unwrap();
+    store_setup(e, catalog::binarize(128).unwrap())
+}
+
+/// A 512-entry LUT filling every row of the pLUTo subarray.
+fn full_subarray_lut() -> Lut {
+    Lut::from_fn("full-subarray-512", 9, 8, |x| x.wrapping_mul(37) & 0xff).unwrap()
+}
+
+fn store_setup(e: &mut Engine, lut: Lut) -> (LutStore, QueryPlacement) {
     let bank = BankId(0);
     let pluto = SubarrayId(2);
     let store = LutStore::load(e, lut, bank, pluto, SubarrayId(1), 0).unwrap();
@@ -169,6 +181,36 @@ fn bench_query(c: &mut Criterion) {
                 scratch.outputs().len()
             })
         });
+    }
+    // Issuing vs warm replay on the full-subarray LUT: a 512-step sweep,
+    // so the tape holds long runs of identical spends.
+    let lut = full_subarray_lut();
+    let capacity = slots_per_row(query_engine().config().row_bytes, lut.slot_bits());
+    let inputs: Vec<u64> = (0..capacity as u64).map(|i| i * 3 % 512).collect();
+    for design in DesignKind::ALL {
+        for warm in [false, true] {
+            let mut e = query_engine();
+            let (mut store, placement) = store_setup(&mut e, lut.clone());
+            let mut scratch = QueryScratch::new();
+            let mut query = || {
+                let mut ex = QueryExecutor::new(&mut e, design);
+                ex.set_use_plans(warm);
+                ex.execute_with(
+                    &mut store,
+                    placement,
+                    &inputs,
+                    RowId(0),
+                    RowId(1),
+                    &mut scratch,
+                )
+                .unwrap();
+                scratch.outputs().len()
+            };
+            // Unmeasured: records the plan on the warm side.
+            query();
+            let path = if warm { "warm_plan" } else { "word" };
+            group.bench_function(&format!("{path}/full512/{design}"), |b| b.iter(&mut query));
+        }
     }
     group.finish();
 }
@@ -249,16 +291,20 @@ fn guard(c: &Criterion) {
         );
         println!("guard: end-to-end query {design} word/scalar speedup {ratio:.1}x");
     }
-    for design in DesignKind::ALL {
-        let ratio = c.mean_ns(&format!("query/word/{design}"))
-            / c.mean_ns(&format!("query/warm_plan/{design}"));
-        assert!(
-            ratio >= 2.0,
-            "plan-cache regression: warm-plan query is only {ratio:.2}x the issuing \
-             path on {design} (the guard requires >= 2x) — replay is not skipping \
-             command simulation"
-        );
-        println!("guard: warm-plan query {design} replay speedup {ratio:.1}x (>= 2x required)");
+    for lut in ["", "full512/"] {
+        for design in DesignKind::ALL {
+            let ratio = c.mean_ns(&format!("query/word/{lut}{design}"))
+                / c.mean_ns(&format!("query/warm_plan/{lut}{design}"));
+            assert!(
+                ratio >= 2.0,
+                "plan-cache regression: warm-plan query {lut}{design} is only {ratio:.2}x \
+                 the issuing path (the guard requires >= 2x) — replay is not skipping \
+                 command simulation"
+            );
+            println!(
+                "guard: warm-plan query {lut}{design} replay speedup {ratio:.1}x (>= 2x required)"
+            );
+        }
     }
 }
 

@@ -193,6 +193,12 @@ impl Lut {
         &self.name
     }
 
+    /// The shared name handle (cloning it copies no bytes; plan keys hold
+    /// one per lookup).
+    pub(crate) fn name_shared(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// Index width in bits (`N` in the paper).
     pub fn input_bits(&self) -> u32 {
         self.input_bits

@@ -43,15 +43,21 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Counters of the process-wide plan cache (see [`plan_stats`]).
+///
+/// The unit is one tape lookup: a whole query for a one-subarray LUT,
+/// but one *lane* for a §5.6 partitioned query, which looks up a tape
+/// per segment — a 128-segment query counts 128.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStats {
-    /// Queries whose cost was applied from a memoized tape.
+    /// Queries (partitioned: lanes) whose cost was applied from a
+    /// memoized tape.
     pub hits: u64,
-    /// Queries that recorded a new tape while issuing.
+    /// Queries (partitioned: lanes) that recorded a new tape while
+    /// issuing.
     pub misses: u64,
-    /// Queries that ran the issuing path because a legality gate failed
-    /// (trace on, warm tFAW window, stale store, or plans disabled on a
-    /// differential-oracle executor).
+    /// Queries (partitioned: lanes) that ran the issuing path because a
+    /// legality gate failed (trace on, warm tFAW window, stale store, or
+    /// plans disabled on a differential-oracle executor).
     pub fallbacks: u64,
     /// Tapes currently cached.
     pub entries: usize,
@@ -90,8 +96,9 @@ pub(crate) struct PlanKey {
     backend: pluto_dram::TimingBackend,
     design: DesignKind,
     /// LUT identity by *shape*, not contents — cost never reads element
-    /// values.
-    lut_name: String,
+    /// values. The `Lut`'s own shared name, so building a key allocates
+    /// nothing for it.
+    lut_name: Arc<str>,
     input_bits: u32,
     output_bits: u32,
     slot_bits: u32,
@@ -152,7 +159,7 @@ impl PlanKey {
             ],
             backend: engine.timing_backend(),
             design,
-            lut_name: lut.name().to_string(),
+            lut_name: Arc::clone(lut.name_shared()),
             input_bits: lut.input_bits(),
             output_bits: lut.output_bits(),
             slot_bits: lut.slot_bits(),

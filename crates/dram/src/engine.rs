@@ -1141,11 +1141,18 @@ impl Engine {
     }
 
     /// Applies a recorded cost tape as if its command stream had been
-    /// issued from the current clock: clock and energy advance through the
-    /// identical sequence of additions the issuing path performs (so the
-    /// end state is bit-identical), command counters merge, and the tFAW
-    /// window is reconstructed from the tape's activation tail. Returns
-    /// one `(clock, energy)` snapshot per recorded phase mark.
+    /// issued from the current clock: clock and energy end where the
+    /// issuing path's sequence of additions ends (bit-identical), command
+    /// counters merge, and the tFAW window is reconstructed from the
+    /// tape's activation tail. Returns one `(clock, energy)` snapshot per
+    /// recorded phase mark.
+    ///
+    /// Cost is O(ops + marks + binade crossings), not O(spends): a run of
+    /// `repeat` identical spends advances the clock by `delta * repeat`
+    /// (exact u64 arithmetic) and the energy by
+    /// [`PicoJoules::add_repeated`], which returns exactly what `repeat`
+    /// sequential f64 additions give. A run is split at every phase mark
+    /// inside it, so each snapshot is taken at its exact spend count.
     ///
     /// Legality is the caller's contract:
     /// [`CostTape::replayable_from`] must hold (checked by
@@ -1160,23 +1167,25 @@ impl Engine {
         self.recorder = None;
         let entry = self.clock;
         let mut snapshots = Vec::with_capacity(tape.marks.len());
-        let mut next_mark = tape.marks.iter().copied();
-        let mut pending = next_mark.next();
+        let mut marks = tape.marks.iter().copied().peekable();
         let mut done = 0u64;
-        while pending == Some(done) {
-            snapshots.push((self.clock, self.command_energy));
-            pending = next_mark.next();
-        }
         for op in &tape.ops {
-            for _ in 0..op.repeat {
-                self.clock += op.delta;
-                self.command_energy += op.energy;
-                done += 1;
-                while pending == Some(done) {
+            let mut left = op.repeat;
+            while left > 0 {
+                while marks.next_if_eq(&done).is_some() {
                     snapshots.push((self.clock, self.command_energy));
-                    pending = next_mark.next();
                 }
+                // Marks are recorded in spend order, so the next one lies
+                // strictly ahead of `done`.
+                let step = marks.peek().map_or(left, |&m| left.min(m - done));
+                self.clock += op.delta * step;
+                self.command_energy = self.command_energy.add_repeated(op.energy, step);
+                done += step;
+                left -= step;
             }
+        }
+        while marks.next_if_eq(&done).is_some() {
+            snapshots.push((self.clock, self.command_energy));
         }
         self.stats.merge(&tape.stats);
         // Reconstruct the window the issuing path would leave: its last
@@ -1252,7 +1261,10 @@ struct TapeRecorder {
 /// produces when issued from a [`Engine::tfaw_window_inert`] state.
 /// Captured with [`Engine::begin_tape`]/[`Engine::end_tape`] and applied —
 /// bit-identically, without re-simulating commands — with
-/// [`Engine::apply_replayed`]. The plan-cache layer in `pluto-core` keys
+/// [`Engine::apply_replayed`], in O(ops + marks + binade crossings): each
+/// run of identical spends is one u64 multiply for the clock and one
+/// closed-form f64 accumulation ([`PicoJoules::add_repeated`]) for the
+/// energy. The plan-cache layer in `pluto-core` keys
 /// tapes by everything that can shift the delta (config, design, LUT
 /// geometry, residency); see `DESIGN.md` §10.
 #[derive(Debug, Clone)]
@@ -1886,6 +1898,80 @@ mod tests {
         e.begin_tape();
         e.abort_tape();
         assert!(e.end_tape().is_none(), "abort drops capture");
+    }
+
+    #[test]
+    fn replay_splits_runs_at_phase_marks_inside_them() {
+        // Non-dyadic energies make every f64 addition round, and a
+        // disabled tFAW window makes consecutive sweep steps identical
+        // spends, so the marks below fall inside one long run.
+        let energy = EnergyModel {
+            e_act: PicoJoules::from_pj(0.1),
+            e_pre: PicoJoules::from_pj(4.2e-3),
+            e_charge_share: PicoJoules::from_pj(13.37),
+            ..EnergyModel::ddr4()
+        };
+        let mut timing = TimingParams::ddr4_2400();
+        timing.t_faw = Picos::ZERO;
+        let fresh = || Engine::with_models(DramConfig::ddr4_2400(), timing.clone(), energy.clone());
+        let sweep = |e: &mut Engine, first: u16, count: usize| {
+            e.sweep_rows(
+                BankId(0),
+                SubarrayId(3),
+                RowId(first),
+                count,
+                SweepStepKind::ChargeShare,
+            )
+            .unwrap();
+        };
+        // Mark after 200, 400 and 407 of 411 sweep steps.
+        let chunks = [(0, 200), (200, 200), (400, 7)];
+
+        let mut rec = fresh();
+        rec.begin_tape();
+        for &(first, count) in &chunks {
+            sweep(&mut rec, first, count);
+            rec.mark_tape_phase();
+        }
+        sweep(&mut rec, 407, 4);
+        let tape = rec.end_tape().expect("capture survived");
+        let mut run_start = 0;
+        let inside = tape.ops.iter().any(|op| {
+            let run = run_start..run_start + op.repeat;
+            run_start = run.end;
+            tape.marks.iter().any(|&m| m > run.start && m < run.end)
+        });
+        assert!(inside, "a mark must split a run: {:?}", tape.ops);
+
+        // Issue and replay from a state with non-integer energy history.
+        let mut a = fresh();
+        a.sweep_rows(
+            BankId(0),
+            SubarrayId(5),
+            RowId(0),
+            37,
+            SweepStepKind::FullCycle,
+        )
+        .unwrap();
+        a.advance_clock_to(a.elapsed() + Picos::from_ns(100.0));
+        let mut b = a.clone();
+        let mut issued = Vec::new();
+        for &(first, count) in &chunks {
+            sweep(&mut a, first, count);
+            issued.push((a.elapsed(), a.command_energy().as_pj().to_bits()));
+        }
+        sweep(&mut a, 407, 4);
+        let replayed: Vec<_> = b
+            .apply_replayed(&tape)
+            .into_iter()
+            .map(|(t, e)| (t, e.as_pj().to_bits()))
+            .collect();
+        assert_eq!(replayed, issued, "snapshots at the exact spend counts");
+        assert_eq!(b.elapsed(), a.elapsed());
+        assert_eq!(
+            b.command_energy().as_pj().to_bits(),
+            a.command_energy().as_pj().to_bits()
+        );
     }
 
     #[test]

@@ -217,6 +217,67 @@ impl PicoJoules {
     pub fn times(self, n: u64) -> PicoJoules {
         PicoJoules(self.0 * n as f64)
     }
+
+    /// Returns, bit for bit, what `n` sequential `self += e` give, in
+    /// O(binades crossed) additions rather than `n` (cost-tape replay of
+    /// a run of identical spends, [`crate::Engine::apply_replayed`]).
+    ///
+    /// Why a jump is exact: inside one binade `[2^k, 2^(k+1))` every
+    /// `f64` is an integer multiple of the binade's ulp `u`. Write
+    /// `e = (q + f)·u` with integer `q` and `0 ≤ f < 1`. While the sum
+    /// stays in the binade, round-to-nearest-even gives
+    /// `fl(acc + e) = acc + (q + [f > ½])·u` whatever `acc` is; only an
+    /// exact tie (`f = ½`) looks at `acc`, rounding to the even
+    /// significand. A tie's result is even, and from an even significand
+    /// a tie always rounds the same way. So after one step inside the
+    /// binade, every further step there adds the same
+    /// `d = fl(acc + e) − acc` (exact, as in Fast2Sum). The helper takes
+    /// two plain steps in a binade, reads `d` in ulps as the difference
+    /// of their bit patterns, and adds `m·d` to the bits for as many steps
+    /// `m` as keep the significand inside the binade. Binade crossings
+    /// (including `e ≥ acc`), zero, subnormal, negative and non-finite
+    /// accumulators, and negative or non-finite addends take plain
+    /// steps; so do runs shorter than eight.
+    #[inline]
+    pub fn add_repeated(self, e: PicoJoules, n: u64) -> PicoJoules {
+        /// Runs this short cost less summed one addition at a time.
+        const SHORT_RUN: u64 = 8;
+        const MANTISSA: u64 = (1 << 52) - 1;
+        let (mut acc, e, mut n) = (self.0, e.0, n);
+        if n < SHORT_RUN || !(e >= 0.0 && e.is_finite()) {
+            for _ in 0..n {
+                acc += e;
+            }
+            return PicoJoules(acc);
+        }
+        // Consecutive plain steps taken inside the current binade.
+        let mut in_binade = 0u32;
+        while n > 0 {
+            let (a, b) = (acc.to_bits(), (acc + e).to_bits());
+            n -= 1;
+            // The sign bit is part of `exp`, so a negative accumulator
+            // never matches a normal positive binade.
+            let exp = a >> 52;
+            if (1..0x7ff).contains(&exp) && b >> 52 == exp {
+                in_binade += 1;
+                if in_binade >= 2 {
+                    let d = b - a;
+                    // `d == 0`: the spend no longer moves the sum at all.
+                    let jump = (MANTISSA - (b & MANTISSA))
+                        .checked_div(d)
+                        .map_or(n, |room| n.min(room));
+                    acc = f64::from_bits(b + jump * d);
+                    n -= jump;
+                    in_binade = 0;
+                    continue;
+                }
+            } else {
+                in_binade = 0;
+            }
+            acc = f64::from_bits(b);
+        }
+        PicoJoules(acc)
+    }
 }
 
 impl Add for PicoJoules {
@@ -331,6 +392,100 @@ mod tests {
         }
         assert!((e.as_pj() - 15.0).abs() < 1e-12);
         assert!((e.times(2).as_pj() - 30.0).abs() < 1e-12);
+    }
+
+    /// The reference `add_repeated` must reproduce: `n` plain additions.
+    fn add_naive(acc: f64, e: f64, n: u64) -> f64 {
+        let mut acc = acc;
+        for _ in 0..n {
+            acc += e;
+        }
+        acc
+    }
+
+    fn assert_add_repeated_exact(acc: f64, e: f64, n: u64) {
+        let got = PicoJoules(acc).add_repeated(PicoJoules(e), n).0;
+        let want = add_naive(acc, e, n);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "acc {acc:e} e {e:e} n {n}: {got:e} != {want:e}"
+        );
+    }
+
+    /// An addend that is an exact half-ulp tie against `acc`'s binade:
+    /// `(k + ½)·ulp(acc)` for a positive normal `acc`.
+    fn half_ulp_tie(acc: f64, k: u64) -> f64 {
+        let ulp = f64::from_bits(acc.to_bits() + 1) - acc;
+        ulp * (k as f64 + 0.5)
+    }
+
+    #[test]
+    fn add_repeated_matches_sequential_additions_bit_for_bit() {
+        use sim_support::prop::{self, Gen};
+        fn accumulator(g: &mut Gen) -> f64 {
+            match g.range(0u32..6) {
+                0 => 0.0,
+                1 => f64::from_bits(g.range(1u64..1 << 52)), // subnormal
+                2 => -g.range(1.0f64..1e6),
+                // Normal, anywhere from 2^-1000 to 2^1000.
+                _ => f64::from_bits(g.range(24u64..2024) << 52 | g.any::<u64>() >> 12),
+            }
+        }
+        fn addend(g: &mut Gen, acc: f64) -> f64 {
+            let normal = acc.is_normal() && acc > 0.0;
+            match g.range(0u32..7) {
+                0 => 0.0,
+                1 if normal => half_ulp_tie(acc, g.range(0u64..1 << 20)),
+                2 if normal => acc * g.range(1.0f64..4.0), // e >= acc
+                3 => [0.1, 13.37, 4.2e-3, 1.0, 18_000.0][g.range(0usize..5)],
+                4 => f64::from_bits(g.range(1u64..1 << 52)), // subnormal
+                // Anywhere from ~2^-60 to ~2 times `acc` (or tiny).
+                _ => {
+                    let scale = if normal { acc } else { 1.0 };
+                    scale * g.range(0.0f64..2.0) * f64::powi(2.0, -g.range(0i32..60))
+                }
+            }
+        }
+        prop::check("add_repeated_vs_naive", 2000, |g| {
+            let acc = accumulator(g);
+            let e = addend(g, acc);
+            let n = g.range(0u64..10_000);
+            let got = PicoJoules(acc).add_repeated(PicoJoules(e), n).0;
+            let want = add_naive(acc, e, n);
+            sim_support::prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "acc {acc:e} e {e:e} n {n}"
+            );
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn add_repeated_is_exact_on_long_runs_ties_and_edges() {
+        let long = (1 << 20) + 3;
+        // Non-dyadic spends from zero cross ~20 binades.
+        for e in [0.1, 13.37, 4.2e-3] {
+            assert_add_repeated_exact(0.0, e, long);
+        }
+        // A tie in every binade it visits, both significand parities.
+        assert_add_repeated_exact(1.0, half_ulp_tie(1.0, 3), long);
+        assert_add_repeated_exact(1.0 + f64::EPSILON, half_ulp_tie(1.0, 2), long);
+        // Pure half-ulp ties: from an even significand they never move
+        // the accumulator; from an odd one they move it once.
+        assert_add_repeated_exact(1.0, f64::EPSILON / 2.0, long);
+        assert_add_repeated_exact(1.0 + f64::EPSILON, f64::EPSILON / 2.0, long);
+        // Spends too small to register, zero, subnormal and edge inputs.
+        assert_add_repeated_exact(1e6, 1e-12, long);
+        assert_add_repeated_exact(1e6, 0.0, long);
+        assert_add_repeated_exact(0.0, 0.0, 100);
+        assert_add_repeated_exact(0.0, f64::from_bits(1), 100);
+        assert_add_repeated_exact(f64::MAX / 2.0, f64::MAX / 8.0, 100);
+        for n in 0..20 {
+            assert_add_repeated_exact(2.0 - f64::EPSILON, 0.3, n);
+            assert_add_repeated_exact(18_000.0, 18_000.0, n);
+        }
     }
 
     #[test]

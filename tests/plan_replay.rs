@@ -16,8 +16,8 @@ use pluto_repro::core::query::{QueryExecutor, QueryPlacement};
 use pluto_repro::core::store::LutStore;
 use pluto_repro::core::DesignKind;
 use pluto_repro::dram::{
-    BankId, DramConfig, EnergyModel, Engine, MemoryKind, Picos, RowId, RowLoc, SubarrayId,
-    SweepStepKind, TimingParams,
+    BankId, DramConfig, EnergyModel, Engine, MemoryKind, PicoJoules, Picos, RowId, RowLoc,
+    SubarrayId, SweepStepKind, TimingParams,
 };
 use sim_support::prop::{self, Gen};
 use sim_support::prop_assert_eq;
@@ -301,6 +301,73 @@ fn partitioned_lanes_replay_warm_including_128_segments() {
         after.hits - before.hits >= 128,
         "partitioned lanes never replayed: {before:?} -> {after:?}"
     );
+}
+
+/// The 128-segment plan-vs-oracle comparison above, under an energy
+/// model of non-dyadic picojoule values. Every stock model spends whole
+/// picojoules, whose f64 sums are exact in any order; these spends make
+/// every addition round, so replayed runs of identical spends must
+/// reproduce the issuing path's rounding step by step.
+#[test]
+fn partitioned_lanes_replay_bit_identically_under_non_integer_energies() {
+    let cfg = DramConfig {
+        row_bytes: 32,
+        burst_bytes: 8,
+        banks: 1,
+        subarrays_per_bank: 260,
+        rows_per_subarray: 8,
+        ..DramConfig::ddr4_2400()
+    };
+    let energy = EnergyModel {
+        e_act: PicoJoules::from_pj(0.1),
+        e_pre: PicoJoules::from_pj(13.37),
+        e_rd_burst: PicoJoules::from_pj(4.2e-3),
+        e_wr_burst: PicoJoules::from_pj(0.7),
+        e_lisa_hop: PicoJoules::from_pj(2.9),
+        e_charge_share: PicoJoules::from_pj(1.3),
+        background_watts: 0.35,
+    };
+    let (src, dst) = (SubarrayId(0), SubarrayId(1));
+    // With the tFAW window off, a lane's sweep is one run of identical
+    // spends (the closed-form path); with it on, throttling breaks runs.
+    for (design, t_faw_scale) in DesignKind::ALL
+        .into_iter()
+        .flat_map(|d| [(d, 1.0), (d, 0.0)])
+    {
+        let timing = TimingParams::ddr4_2400().with_t_faw_scale(t_faw_scale);
+        let fresh = || Engine::with_models(cfg.clone(), timing.clone(), energy.clone());
+        let lut = Lut::from_fn(format!("plan-128seg-pj-{design}"), 10, 12, |x| {
+            x.wrapping_mul(31) & 0xfff
+        })
+        .unwrap();
+        let (mut e_plan, mut e_oracle) = (fresh(), fresh());
+        let mut p_plan =
+            PartitionedLut::load(&mut e_plan, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+        let mut p_oracle =
+            PartitionedLut::load(&mut e_oracle, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+        p_oracle.set_use_plans(false);
+        assert_eq!(p_plan.segment_count(), 128);
+
+        let inputs: Vec<u64> = (0..6).map(|i| i * 171).collect();
+        for round in 0..5 {
+            let (out_p, cost_p) = p_plan
+                .query(&mut e_plan, design, src, dst, &inputs, RowId(0), RowId(1))
+                .unwrap();
+            let (out_o, cost_o) = p_oracle
+                .query(&mut e_oracle, design, src, dst, &inputs, RowId(0), RowId(1))
+                .unwrap();
+            let label = format!("{design}@tFAWx{t_faw_scale}#{round}");
+            assert_eq!(out_p, out_o, "outputs {label}");
+            assert_eq!(cost_p, cost_o, "cost {label}");
+            assert_eq!(e_plan.elapsed(), e_oracle.elapsed(), "clock {label}");
+            assert_eq!(
+                e_plan.command_energy().as_pj().to_bits(),
+                e_oracle.command_energy().as_pj().to_bits(),
+                "energy {label}"
+            );
+            assert_eq!(e_plan.stats(), e_oracle.stats(), "stats {label}");
+        }
+    }
 }
 
 /// Seam regression for `Engine::rewind_clock`'s boundary rule: an ACT
