@@ -34,10 +34,10 @@ cargo run --release --quiet --example cluster
 echo "==> 4-worker cluster smoke (fig07 --quick --workers 4)"
 cargo run --release --quiet -p pluto-bench --bin fig07_speedup -- --quick --workers 4
 
-echo "==> query-engine throughput guard (benches/query.rs smoke: word-parallel >= 2x scalar packing, warm-plan replay >= 2x issuing on 256- and 512-entry LUTs)"
+echo "==> query-engine throughput guard (benches/query.rs smoke: word-parallel >= 2x scalar packing, one-segment store warm-plan replay >= 2x the same store issuing with plans off, on 256- and 512-entry LUTs)"
 PLUTO_QUICK=1 cargo bench -p pluto-bench --bench query
 
-echo "==> partitioned-LUT guard (benches/partition.rs smoke: fused 5.6 path — 4-seg query < 2x single; cached load and reset + reload each < the query they serve)"
+echo "==> partitioned-LUT guard (benches/partition.rs smoke: fused 5.6 path — 4-seg store query < 2x a single-subarray QueryExecutor query; cached load and reset + reload each < the query they serve)"
 PLUTO_QUICK=1 cargo bench -p pluto-bench --bench partition
 
 echo "==> serve queue-behavior guard (benches/serve.rs smoke: mixed p99 bounded vs baseline, plan-cache hits live, stealing live)"

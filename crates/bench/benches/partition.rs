@@ -5,22 +5,22 @@
 //! subarray):
 //!
 //! * `query` — the end-to-end partitioned query (a 2048-entry LUT swept
-//!   as 4 parallel segment lanes through [`PartitionedLut::query_with`])
-//!   against a single-segment query of a 512-entry LUT (the same
-//!   per-subarray sweep length), all three designs. The partitioned
-//!   query still issues 4× the commands (§5.6 is authoritative for
-//!   cost), but the fused data path does its data work in one pass —
-//!   the wall-clock ratio gates the simulator's constant factor. Both
-//!   sides run with compiled plans *disabled* (the issuing path the
-//!   ratio has always measured): a warm-plan replay collapses the
-//!   single query to a tape apply while the partitioned query keeps
-//!   per-lane replay bookkeeping, so the ratio would gate the plan
-//!   cache, not the fusion — the plan cache has its own ≥ 2× guard in
-//!   `benches/query.rs` and a hit-counter guard in `benches/serve.rs`.
+//!   as 4 parallel segment lanes through [`PlutoStore::query_with`])
+//!   against a single-subarray query of a 512-entry LUT (the same
+//!   per-subarray sweep length) on the `QueryExecutor` issuing
+//!   reference, all three designs. The partitioned query still issues 4×
+//!   the commands (§5.6 is authoritative for cost), but the fused data
+//!   path does its data work in one pass — the wall-clock ratio gates
+//!   the simulator's constant factor. Both sides issue every command
+//!   (the store runs with compiled plans *disabled*; the executor has
+//!   none): a warm-plan replay would collapse both sides to tape applies,
+//!   so the ratio would gate the plan cache, not the fusion — the plan
+//!   cache has its own ≥ 2× guard in `benches/query.rs` and a hit-counter
+//!   guard in `benches/serve.rs`.
 //! * `query_wide` — the high-segment-count regime: the Gamma12 LUT
 //!   (4096 entries, 8 segments) and the full 8-bit multiplier table
 //!   (65536 entries, 128 segments), the shapes §5.6 warns about.
-//! * `store` — `PartitionedLut::load` with the segment images served by
+//! * `store` — `PlutoStore::load` with the segment images served by
 //!   the process-wide cache. `load_cached` repeats the load on one engine
 //!   that is never reset, so every placement is a pointer-equal no-op;
 //!   `reset_reload` is what a served query pays under the
@@ -29,11 +29,11 @@
 //!   `pack_segments_uncached`, the per-element packing work a cold cache
 //!   performs.
 //! * `routing` — `PlutoMachine::apply` over the same inputs with a
-//!   512-entry (single) and a 2048-entry (partitioned) LUT: the
-//!   transparent-routing overhead callers actually see.
+//!   512-entry (one segment) and a 2048-entry (four segments) LUT: the
+//!   segment-count overhead callers actually see.
 
 use pluto_core::lut::{catalog, pack_slots, slots_per_row};
-use pluto_core::partition::PartitionedLut;
+use pluto_core::partition::PlutoStore;
 use pluto_core::query::QueryScratch;
 use pluto_core::store::LutStore;
 use pluto_core::{DesignKind, Lut, PlutoMachine, QueryExecutor, QueryPlacement};
@@ -71,7 +71,7 @@ fn bench_query(c: &mut Criterion) {
     for design in DesignKind::ALL {
         let inputs: Vec<u64> = (0..128u64).map(|i| (i * 16) % 2048).collect();
         let mut e = bench_engine();
-        let mut part = PartitionedLut::load(&mut e, big_lut(), BankId(0), SubarrayId(2)).unwrap();
+        let mut part = PlutoStore::load(&mut e, big_lut(), BankId(0), SubarrayId(2)).unwrap();
         part.set_use_plans(false);
         let mut scratch = QueryScratch::new();
         group.bench_function(&format!("partitioned4/{design}"), |b| {
@@ -106,17 +106,16 @@ fn bench_query(c: &mut Criterion) {
         let mut scratch = QueryScratch::new();
         group.bench_function(&format!("single/{design}"), |b| {
             b.iter(|| {
-                let mut ex = QueryExecutor::new(&mut e, design);
-                ex.set_use_plans(false);
-                ex.execute_with(
-                    &mut store,
-                    placement,
-                    &inputs,
-                    RowId(0),
-                    RowId(1),
-                    &mut scratch,
-                )
-                .unwrap();
+                QueryExecutor::new(&mut e, design)
+                    .execute_with(
+                        &mut store,
+                        placement,
+                        &inputs,
+                        RowId(0),
+                        RowId(1),
+                        &mut scratch,
+                    )
+                    .unwrap();
                 scratch.outputs().len()
             })
         });
@@ -133,7 +132,7 @@ fn bench_query_wide(c: &mut Criterion) {
         let lut = gamma12_lut().unwrap();
         let inputs: Vec<u64> = (0..128u64).map(|i| (i * 31) % 4096).collect();
         let mut e = wide_engine(20);
-        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let mut part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         assert_eq!(part.segment_count(), 8);
         let mut scratch = QueryScratch::new();
         group.bench_function(&format!("gamma12_8seg/{design}"), |b| {
@@ -157,7 +156,7 @@ fn bench_query_wide(c: &mut Criterion) {
         let lut = catalog::mul(8).unwrap();
         let inputs: Vec<u64> = (0..128u64).map(|i| (i * 509) % 65536).collect();
         let mut e = wide_engine(260);
-        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let mut part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         assert_eq!(part.segment_count(), 128);
         let mut scratch = QueryScratch::new();
         group.bench_function(&format!("mul8_128seg/{design}"), |b| {
@@ -189,7 +188,7 @@ fn bench_store_load(c: &mut Criterion) {
     let mut e = bench_engine();
     group.bench_function("load_cached", |b| {
         b.iter(|| {
-            let part = PartitionedLut::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+            let part = PlutoStore::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
             part.segment_count()
         })
     });
@@ -199,7 +198,7 @@ fn bench_store_load(c: &mut Criterion) {
     group.bench_function("reset_reload", |b| {
         b.iter(|| {
             e = bench_engine();
-            let part = PartitionedLut::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+            let part = PlutoStore::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
             part.segment_count()
         })
     });
@@ -251,7 +250,7 @@ fn bench_machine_routing(c: &mut Criterion) {
 /// * a cached 4-segment load must beat redoing the full packing work AND
 ///   cost less than the partitioned query it serves — both on a warm
 ///   engine and after the reset a served query pays before it;
-/// * a 4-segment query must cost less than 2× a single-segment query of
+/// * a 4-segment query must cost less than 2× a single-subarray query of
 ///   the same sweep length — it still issues 4× the commands, but data
 ///   moves in one pass, so only the per-lane cost accounting scales with
 ///   the segment count.
@@ -273,7 +272,7 @@ fn guard(c: &Criterion) {
         let ratio = part / single;
         assert!(
             ratio < 2.0,
-            "4-segment query costs {ratio:.2}x a single-segment query on {design} \
+            "4-segment query costs {ratio:.2}x a single-subarray query on {design} \
              (fused data path expected < 2x despite 4x the commands)"
         );
         assert!(

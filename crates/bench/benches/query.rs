@@ -10,13 +10,15 @@
 //!   paper-sized 8 KiB row.
 //! * `query` — the end-to-end LUT query on the measurement geometry (one
 //!   full row of 8-bit lookups through a 256-entry LUT, all three
-//!   designs), three ways: `word` (the issuing word-parallel path, plans
-//!   disabled — the cold cost every first-seen plan key pays), `scalar`
-//!   (the retained scalar reference), and `warm_plan` (the compiled-plan
-//!   cache hot: the query applies a memoized cost tape instead of
-//!   re-simulating every command, `DESIGN.md` §10). `word`/`warm_plan`
-//!   also run on a full-subarray 512-entry LUT (`full512`), whose
-//!   512-step sweep puts long runs of identical spends on the tape.
+//!   designs), four ways. On the `QueryExecutor` reference: `word` (the
+//!   word-parallel issuing path) and `scalar` (the retained scalar
+//!   reference). On a one-segment `PlutoStore`, the production path:
+//!   `issuing` (plans off — the cold cost every first-seen plan key
+//!   pays) and `warm_plan` (the compiled-plan cache hot: the lane applies
+//!   a memoized cost tape instead of re-simulating every command,
+//!   `DESIGN.md` §10). `issuing`/`warm_plan` also run on a full-subarray
+//!   512-entry LUT (`full512`), whose 512-step sweep puts long runs of
+//!   identical spends on the tape.
 //! * `store` — `LutStore::load` with the packed-row cache warm (the
 //!   pooled-cluster steady state) vs `pack_rows_uncached`, the
 //!   per-element packing work a cache miss performs.
@@ -28,11 +30,13 @@
 //! packing microbench (1.5x at the narrowest width, where the structural
 //! gap is smallest), if the end-to-end word query is not faster than the
 //! scalar query it replaced, or if a warm-plan query (256- or 512-entry
-//! LUT) is not at least 2x faster than the issuing path it memoizes.
+//! LUT) is not at least 2x faster than the same store issuing with plans
+//! off.
 
 use pluto_core::lut::{
     catalog, pack_slots, pack_slots_scalar, slots_per_row, unpack_slots, unpack_slots_scalar, Lut,
 };
+use pluto_core::partition::PlutoStore;
 use pluto_core::query::{QueryExecutor, QueryPlacement, QueryScratch};
 use pluto_core::store::LutStore;
 use pluto_core::DesignKind;
@@ -113,6 +117,41 @@ fn store_setup(e: &mut Engine, lut: Lut) -> (LutStore, QueryPlacement) {
     (store, QueryPlacement::adjacent(bank, pluto))
 }
 
+/// A one-segment `PlutoStore` of `lut` at subarray 2 (master at 3),
+/// queried from subarray 0 into subarray 1 — the production query path
+/// with its compiled-plan cache on or off. On the warm side one
+/// unmeasured query records the plan, so the measured loop runs the
+/// steady state (tape replay + data gather only).
+fn pluto_query(
+    lut: Lut,
+    design: DesignKind,
+    plans: bool,
+    inputs: &[u64],
+) -> impl FnMut() -> usize + '_ {
+    let mut e = query_engine();
+    let mut store = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+    assert_eq!(store.segment_count(), 1);
+    store.set_use_plans(plans);
+    let mut scratch = QueryScratch::new();
+    let mut query = move || {
+        store
+            .query_with(
+                &mut e,
+                design,
+                SubarrayId(0),
+                SubarrayId(1),
+                inputs,
+                RowId(0),
+                RowId(1),
+                &mut scratch,
+            )
+            .unwrap();
+        scratch.outputs().len()
+    };
+    query();
+    query
+}
+
 fn bench_query(c: &mut Criterion) {
     let inputs: Vec<u64> = (0..256u64).collect();
     let mut group = c.benchmark_group("query");
@@ -122,19 +161,16 @@ fn bench_query(c: &mut Criterion) {
         let mut scratch = QueryScratch::new();
         group.bench_function(&format!("word/{design}"), |b| {
             b.iter(|| {
-                // Plans off: this is the issuing path — the cold cost a
-                // first-seen plan key pays, and the differential oracle.
-                let mut ex = QueryExecutor::new(&mut e, design);
-                ex.set_use_plans(false);
-                ex.execute_with(
-                    &mut store,
-                    placement,
-                    &inputs,
-                    RowId(0),
-                    RowId(1),
-                    &mut scratch,
-                )
-                .unwrap();
+                QueryExecutor::new(&mut e, design)
+                    .execute_with(
+                        &mut store,
+                        placement,
+                        &inputs,
+                        RowId(0),
+                        RowId(1),
+                        &mut scratch,
+                    )
+                    .unwrap();
                 scratch.outputs().len()
             })
         });
@@ -149,67 +185,22 @@ fn bench_query(c: &mut Criterion) {
                     .len()
             })
         });
-        let mut e = query_engine();
-        let (mut store, placement) = query_setup(&mut e);
-        let mut scratch = QueryScratch::new();
-        // One unmeasured query records the plan; the measured loop then
-        // runs the warm steady state (tape replay + data gather only).
-        {
-            let mut ex = QueryExecutor::new(&mut e, design);
-            ex.execute_with(
-                &mut store,
-                placement,
-                &inputs,
-                RowId(0),
-                RowId(1),
-                &mut scratch,
-            )
-            .unwrap();
-        }
-        group.bench_function(&format!("warm_plan/{design}"), |b| {
-            b.iter(|| {
-                let mut ex = QueryExecutor::new(&mut e, design);
-                ex.execute_with(
-                    &mut store,
-                    placement,
-                    &inputs,
-                    RowId(0),
-                    RowId(1),
-                    &mut scratch,
-                )
-                .unwrap();
-                scratch.outputs().len()
-            })
-        });
     }
-    // Issuing vs warm replay on the full-subarray LUT: a 512-step sweep,
-    // so the tape holds long runs of identical spends.
-    let lut = full_subarray_lut();
-    let capacity = slots_per_row(query_engine().config().row_bytes, lut.slot_bits());
-    let inputs: Vec<u64> = (0..capacity as u64).map(|i| i * 3 % 512).collect();
-    for design in DesignKind::ALL {
-        for warm in [false, true] {
-            let mut e = query_engine();
-            let (mut store, placement) = store_setup(&mut e, lut.clone());
-            let mut scratch = QueryScratch::new();
-            let mut query = || {
-                let mut ex = QueryExecutor::new(&mut e, design);
-                ex.set_use_plans(warm);
-                ex.execute_with(
-                    &mut store,
-                    placement,
-                    &inputs,
-                    RowId(0),
-                    RowId(1),
-                    &mut scratch,
-                )
-                .unwrap();
-                scratch.outputs().len()
-            };
-            // Unmeasured: records the plan on the warm side.
-            query();
-            let path = if warm { "warm_plan" } else { "word" };
-            group.bench_function(&format!("{path}/full512/{design}"), |b| b.iter(&mut query));
+    // Issuing vs warm replay through the production store, on the
+    // 256-entry LUT and on the full-subarray LUT: a 512-step sweep, so
+    // the tape holds long runs of identical spends.
+    let full = full_subarray_lut();
+    let capacity = slots_per_row(query_engine().config().row_bytes, full.slot_bits());
+    let full_inputs: Vec<u64> = (0..capacity as u64).map(|i| i * 3 % 512).collect();
+    for (lut, inputs, tag) in [
+        (catalog::binarize(128).unwrap(), &inputs, ""),
+        (full, &full_inputs, "full512/"),
+    ] {
+        for design in DesignKind::ALL {
+            for (path, plans) in [("issuing", false), ("warm_plan", true)] {
+                let mut query = pluto_query(lut.clone(), design, plans, inputs);
+                group.bench_function(&format!("{path}/{tag}{design}"), |b| b.iter(&mut query));
+            }
         }
     }
     group.finish();
@@ -293,7 +284,7 @@ fn guard(c: &Criterion) {
     }
     for lut in ["", "full512/"] {
         for design in DesignKind::ALL {
-            let ratio = c.mean_ns(&format!("query/word/{lut}{design}"))
+            let ratio = c.mean_ns(&format!("query/issuing/{lut}{design}"))
                 / c.mean_ns(&format!("query/warm_plan/{lut}{design}"));
             assert!(
                 ratio >= 2.0,

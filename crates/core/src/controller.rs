@@ -337,10 +337,10 @@ impl Controller {
                 ),
             });
         }
-        // Each allocation claims (pLUTo, master) subarray pairs — one
-        // pair for a LUT that fits a subarray, one pair per §5.6 segment
-        // for a LUT that exceeds `rows_per_subarray` (masters stay
-        // adjacent for 1-hop GSA reloads either way).
+        // Each allocation claims one (pLUTo, master) subarray pair per
+        // §5.6 segment — one for a LUT that fits a subarray (masters stay
+        // adjacent for 1-hop GSA reloads). Any logical length is legal:
+        // a segment that is not a power of two (§6.1) is padded to one.
         let store = PlutoStore::load(
             &mut self.engine,
             lut,
@@ -392,14 +392,6 @@ impl Controller {
                          the compiler must align all rows to one slot width",
                         self.slot_bits
                     ),
-                });
-            }
-            // §6.1 requires a power-of-two `lut_size` for a single-sweep
-            // LUT; a partitioned LUT may have any logical length (each
-            // per-subarray segment is padded to a power of two, §5.6).
-            if !lut_size.is_power_of_two() && !store.is_partitioned() {
-                return Err(PlutoError::InvalidProgram {
-                    reason: format!("lut_size {lut_size} must be a power of two"),
                 });
             }
             Ok(())

@@ -72,7 +72,8 @@ pub enum Instruction {
         src: RowReg,
         /// LUT-holding subarray register.
         lut: SubarrayReg,
-        /// Number of LUT elements (rows swept); must be a power of two.
+        /// Number of LUT elements (logical rows). Any length is legal: a
+        /// §5.6 segment that is not a power of two is padded to one.
         lut_size: u32,
         /// Slot width of the query (≥ log2(lut_size); inputs zero-padded).
         lut_bitw: u32,

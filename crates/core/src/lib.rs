@@ -12,7 +12,8 @@
 //!   replication, GSA master copies and reloads).
 //! * [`match_logic`] — the per-element comparators and matchline semantics.
 //! * [`query`] — the five-step pLUTo LUT Query executed as real DRAM
-//!   command streams (bit-exact data path, Table 1-faithful costs).
+//!   command streams (bit-exact data path, Table 1-faithful costs): the
+//!   plans-off issuing reference the production path is checked against.
 //! * [`isa`] — the pLUTo ISA (Table 2) with assembler/disassembler.
 //! * [`controller`] — the pLUTo Controller (§6.4): executes ISA programs.
 //! * [`compiler`] — the pLUTo Compiler (§6.3): expression graphs, operand
@@ -21,11 +22,12 @@
 //!   (`api_pluto_add`, `api_pluto_mul`, arbitrary maps) over a device
 //!   facade.
 //! * [`area`] — the Table 5 area model.
-//! * [`partition`] — §5.6 partitioned queries for LUTs larger than one
-//!   subarray (same latency, segment-count × energy), plus the unified
-//!   [`PlutoStore`] the machine/controller route every LUT through.
+//! * [`partition`] — the one query path: [`PlutoStore`] holds a LUT in
+//!   1..N subarrays and queries it under §5.6 (same latency,
+//!   segment-count × energy); a one-subarray LUT is one lane. The
+//!   machine and controller send every LUT through it.
 //! * [`plan`] — compiled query plans (`DESIGN.md` §10): a process-wide
-//!   cache of recorded command-stream cost tapes, so warm queries apply a
+//!   cache of recorded per-lane cost tapes, so warm lanes apply a
 //!   memoized delta instead of re-simulating every command.
 //! * [`salp`] — subarray-level parallelism scaling, tFAW sensitivity.
 //! * [`loading`] — the §8.5 LUT-loading overhead model (Fig. 11).
@@ -84,7 +86,7 @@ pub use design::{DesignKind, DesignModel};
 pub use error::PlutoError;
 pub use library::{MapResult, PlutoMachine};
 pub use lut::Lut;
-pub use partition::{PartitionedCost, PartitionedLut, PlutoStore};
+pub use partition::{PartitionedCost, PlutoStore};
 pub use plan::PlanStats;
 pub use query::{QueryCost, QueryExecutor, QueryPlacement, QueryScratch};
 pub use serve::{QueryReply, QuerySpec, ServeConfig, Server, Ticket};
@@ -98,7 +100,7 @@ pub mod prelude {
     pub use crate::error::PlutoError;
     pub use crate::library::{MapResult, PlutoMachine};
     pub use crate::lut::{catalog, Lut};
-    pub use crate::partition::{PartitionedCost, PartitionedLut, PlutoStore};
+    pub use crate::partition::{PartitionedCost, PlutoStore};
     pub use crate::query::{QueryCost, QueryExecutor, QueryPlacement};
     pub use crate::serve::{QueryReply, QuerySpec, ServeConfig, Server, Ticket};
     pub use crate::session::{CostReport, ExecConfig, Session, SessionBuilder, Workload};

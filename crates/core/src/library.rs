@@ -52,7 +52,7 @@ pub struct MapResult {
 ///   graph and run it through the full Compiler → ISA → Controller stack —
 ///   exactly the paper's §6 flow, used by the system-integration tests.
 /// * [`PlutoMachine::apply`] / [`PlutoMachine::apply2`] drive a persistent
-///   engine directly through the query executor — the fast path the
+///   engine directly through the LUT stores — the fast path the
 ///   workload suite uses for operation streams of thousands of queries
 ///   (LUT stores persist across calls, so GSA's per-query reload semantics
 ///   are preserved end to end).
@@ -226,10 +226,8 @@ impl PlutoMachine {
 
     /// Returns (creating on first use) the persistent [`PlutoStore`] for
     /// a LUT on the fast path. Stores claim subarray pairs (pLUTo +
-    /// master) starting at subarray 1 — one pair for a LUT that fits a
-    /// subarray, one pair per §5.6 segment for a LUT that exceeds
-    /// `rows_per_subarray` (which is routed through the partitioned data
-    /// path transparently).
+    /// master) starting at subarray 1 — one pair per §5.6 segment, so
+    /// one pair for a LUT that fits a subarray.
     ///
     /// Cache identity is the *full LUT* — name and shape pick the key,
     /// but a hit is only served after the stored table compares equal
@@ -288,11 +286,11 @@ impl PlutoMachine {
     /// Chunks the input across as many queries as needed; the LUT store
     /// persists across calls (GSA reload costs recur per query, §5.2.1).
     ///
-    /// LUTs larger than one subarray are routed through the §5.6
-    /// partitioned data path transparently ([`crate::partition`]): the
-    /// same call serves an 8-bit gamma table and a 4096-entry direct
-    /// table, with §5.6 max-latency / summed-energy cost semantics folded
-    /// into the reported call cost.
+    /// Every LUT goes through the one §5.6 query path
+    /// ([`crate::partition`]): the same call serves an 8-bit gamma table
+    /// (one lane) and a 4096-entry direct table (one lane per segment),
+    /// with §5.6 max-latency / summed-energy cost semantics folded into
+    /// the reported call cost.
     ///
     /// # Errors
     /// Fails if inputs exceed the LUT's index range or the subarray pool is

@@ -1,4 +1,5 @@
-//! Partitioned LUT queries across subarrays (paper §5.6).
+//! The one LUT query path: a LUT resident in 1..N pLUTo-enabled
+//! subarrays, queried under the paper's §5.6 cost rule.
 //!
 //! A single-subarray query supports at most `rows_per_subarray` LUT
 //! elements. Larger LUTs are *partitioned*: segment `k` (rows
@@ -7,10 +8,14 @@
 //! input element matches in exactly one segment. The paper's §5.6 cost
 //! semantics: **latency does not increase** (segments sweep in parallel)
 //! but **energy multiplies by the segment count** — which is why pLUTo is
-//! "not well suited for executing large-bit-width lookup queries".
+//! "not well suited for executing large-bit-width lookup queries". A LUT
+//! that fits one subarray is the N = 1 case: one segment, one lane.
 //!
 //! This module is the single implementation of those semantics
-//! (`DESIGN.md` §8):
+//! (`DESIGN.md` §8), and [`PlutoStore`] is the one store every
+//! production query goes through ([`crate::library::PlutoMachine`] and
+//! [`crate::controller::Controller`], and therefore every `Session`,
+//! `Cluster` worker and `Server` lane):
 //!
 //! * **Segment layout.** Segments are stored at the parent LUT's *true*
 //!   `output_bits` with the parent's slot width pinned as a floor
@@ -22,18 +27,17 @@
 //!   one identity check per load — and cached on that entry with the
 //!   segment LUTs, keyed by segment length. Each segment's image enters
 //!   DRAM as one copy-on-write handle per subarray
-//!   ([`crate::store::LutStore`]'s image loader). Tail segments whose
-//!   length is not a power of two are padded with masked-out zero
-//!   elements stored as zero rows (inputs are validated against the
+//!   ([`crate::store::LutStore`]'s image loader). Segments whose length
+//!   is not a power of two (a truncated table's tail, or a whole
+//!   truncated table that fits one subarray) are padded with masked-out
+//!   zero elements stored as zero rows (inputs are validated against the
 //!   *parent* length, so the pad rows can never match).
 //! * **Data path — fused single pass.** Commands and data are split:
 //!   each segment's *command stream* is still issued in full (that is
 //!   what §5.6 charges), but the *data work* is one gather over the
-//!   parent element table — `merged[i] = elements[inputs[i]]` — plus one
-//!   input pack and one output pack. The old path re-based the input
-//!   vector, re-packed the source row, and re-merged outputs once **per
-//!   segment** (O(N × slots) data work); the fused path is O(slots + N).
-//!   The invariant: *commands per lane, data in one pass.*
+//!   parent element table — `out[i] = elements[inputs[i]]` — plus one
+//!   input pack and one output pack, O(slots + N). The invariant:
+//!   *commands per lane, data in one pass.*
 //! * **Cost merge.** Per-segment command streams stay authoritative for
 //!   cost, issued as *parallel lanes* on the engine
 //!   ([`Engine::rewind_clock`] / [`Engine::advance_clock_to`]): every
@@ -41,56 +45,40 @@
 //!   slowest lane's end, and energy/commands accumulate across lanes.
 //!   The engine's own clock and energy deltas therefore *equal* the
 //!   returned [`PartitionedCost`] — there is no second bookkeeping to
-//!   drift out of sync. The fused path issues each lane's spends in the
-//!   exact order the per-segment [`QueryExecutor`] did, so the cost is
+//!   drift out of sync. Each lane issues its spends in the exact order a
+//!   per-segment [`crate::query::QueryExecutor`] query does, so the cost is
 //!   bit-identical to the retained serial reference
-//!   ([`PartitionedLut::query_serial_reference`], locked down by
-//!   `tests/partition_fused.rs`). This serial-lane issue is the one
-//!   partitioned lane path; a warm lane replays its compiled plan tape
-//!   (`crate::plan`) on the same engine clock instead of re-issuing.
+//!   ([`PlutoStore::query_serial_reference`], locked down by
+//!   `tests/partition_fused.rs`). A warm lane replays its compiled plan
+//!   tape (`crate::plan`) on the same engine clock instead of
+//!   re-issuing; [`PlutoStore::set_use_plans`] turns that off.
 //!
-//! [`PlutoStore`] wraps the single-subarray and partitioned stores behind
-//! one query interface, which is how [`crate::library::PlutoMachine`] and
-//! [`crate::controller::Controller`] (and therefore every `Session` and
-//! `Cluster` worker) transparently route oversized LUTs.
+//! The store holds no scratch: every buffer a query needs lives in the
+//! caller's [`QueryScratch`], so hundreds of pooled stores cost only
+//! their DRAM images.
 
 use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, unpack_slots_into, Lut};
-use crate::plan::{self, PlanKey, PlanShape};
-use crate::query::{QueryExecutor, QueryPlacement, QueryScratch};
+use crate::plan::{self, PlanKey};
+use crate::query::QueryScratch;
 use crate::store::LutStore;
 use pluto_dram::{BankId, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId, SweepStepKind};
 
-/// How the query's input vector arrives (the one routing layer behind
-/// [`PlutoStore::query_with`] / [`PlutoStore::query_resident_with`]).
-enum QueryInput<'a> {
-    /// Caller-supplied slot values, packed and poked into the source row.
-    Slots(&'a [u64]),
-    /// This many slots already resident in the source row.
-    Resident(usize),
-}
-
-/// A LUT partitioned across several pLUTo-enabled subarrays.
+/// A LUT resident in one or more pLUTo-enabled subarrays: one segment
+/// per subarray it needs (§5.6), each sweeping as a parallel lane.
 #[derive(Debug)]
-pub struct PartitionedLut {
+pub struct PlutoStore {
     lut: Lut,
     segments: Vec<LutStore>,
     segment_rows: usize,
-    /// Whether serially issued lanes may use the compiled-plan cache
-    /// (`crate::plan`); disabled on differential-oracle partitions.
+    /// Whether issued lanes may use the compiled-plan cache
+    /// (`crate::plan`); disabled on differential-oracle stores.
     use_plans: bool,
-    /// Scratch: per-segment rebased input slots (serial reference only).
-    local: Vec<u64>,
-    /// Scratch: merged output slots across segments.
-    merged: Vec<u64>,
-    /// Scratch: resident-input slots (controller path).
-    resident: Vec<u64>,
-    /// Scratch: one packed row.
-    row: Vec<u8>,
 }
 
-/// Cost of a partitioned query under the §5.6 semantics.
+/// Cost of one query under the §5.6 semantics (a one-subarray LUT is the
+/// one-segment case).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionedCost {
     /// Number of segments (subarrays) engaged.
@@ -102,12 +90,13 @@ pub struct PartitionedCost {
     pub energy: PicoJoules,
 }
 
-impl PartitionedLut {
+impl PlutoStore {
     /// Loads `lut` across as many subarrays as needed, starting at
-    /// `first_subarray` and claiming pairs (segment, master) like the
-    /// single-subarray store. Any LUT length ≥ 2 is accepted — including
-    /// truncated tables ([`Lut::from_fn_len`]) — because the tail segment
-    /// is padded to the next power of two with masked-out elements.
+    /// `first_subarray` and claiming consecutive (pLUTo, master) subarray
+    /// pairs, one per segment. Any LUT length ≥ 2 is accepted — including
+    /// truncated tables ([`Lut::from_fn_len`]) — because a segment whose
+    /// length is not a power of two (§6.1's `lut_size` constraint holds
+    /// per sweep) is padded to one with masked-out elements.
     ///
     /// All segments come from **one cache entry**: the parent's packed
     /// image is cut into padded segment images once, and every later load
@@ -123,12 +112,12 @@ impl PartitionedLut {
     ) -> Result<Self, PlutoError> {
         let rows = engine.config().rows_per_subarray as usize;
         let row_bytes = engine.config().row_bytes;
-        // Segments must be powers of two (§6.1's `lut_size` constraint
-        // holds per sweep), so on a non-power-of-two geometry only the
-        // largest power-of-two row prefix is usable per subarray.
+        // Segments must be powers of two, so on a non-power-of-two
+        // geometry only the largest power-of-two row prefix is usable per
+        // subarray.
         let max_rows = 1usize << rows.ilog2();
         let segment_rows = max_rows.min(lut.len().next_power_of_two());
-        // One cache lookup + identity check for the whole partition: the
+        // One cache lookup + identity check for the whole store: the
         // segment LUTs and images are cut once per cache entry, and each
         // segment's subarrays adopt its image as one handle.
         let partition = crate::store::packed_partition(&lut, row_bytes, segment_rows)?;
@@ -151,26 +140,28 @@ impl PartitionedLut {
                 image,
             )?);
         }
-        Ok(PartitionedLut {
+        Ok(PlutoStore {
             lut,
             segments,
             segment_rows,
             use_plans: true,
-            local: Vec::new(),
-            merged: Vec::new(),
-            resident: Vec::new(),
-            row: Vec::new(),
         })
     }
 
-    /// The logical (parent) LUT.
+    /// The logical (parent) LUT this store answers queries for.
     pub fn lut(&self) -> &Lut {
         &self.lut
     }
 
-    /// Number of segments.
+    /// Number of pLUTo-enabled subarrays sweeping per query.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
+    }
+
+    /// Subarrays this store occupies (one (pLUTo, master) pair per
+    /// segment) — what an allocator must advance its cursor by.
+    pub fn subarrays_claimed(&self) -> u16 {
+        2 * self.segment_count() as u16
     }
 
     /// Logical LUT rows per segment (the tail segment may own fewer).
@@ -188,23 +179,24 @@ impl PartitionedLut {
         self.segments[0].bank()
     }
 
-    /// Enables or disables the compiled-plan cache for serially issued
-    /// segment lanes. With plans off every lane runs the full issuing
-    /// stream — the differential oracle for lane-shaped plans.
+    /// Enables or disables the compiled-plan cache for this store's
+    /// lanes. With plans off every lane runs the full issuing stream —
+    /// the differential oracle for plan replay.
     pub fn set_use_plans(&mut self, on: bool) {
         self.use_plans = on;
     }
 
-    /// Executes the partitioned query: every segment sweeps as a parallel
-    /// lane; outputs merge by each input's owning segment. Inputs are
-    /// packed into `src_row` of the `source` subarray (left holding the
-    /// global index vector) and the merged output vector is committed to
+    /// Executes one query: every segment sweeps as a parallel lane;
+    /// outputs merge by each input's owning segment. Inputs are packed
+    /// into `src_row` of the `source` subarray (left holding the global
+    /// index vector) and the merged output vector is committed to
     /// `dst_row` of `dest`. Returns the outputs and the §5.6 cost
     /// (max-latency, summed energy), which the engine's own clock and
     /// energy deltas also reflect.
     ///
     /// # Errors
-    /// Fails if any input exceeds the logical LUT's range.
+    /// Fails if any input exceeds the logical LUT's range or the inputs
+    /// exceed one row's slot capacity.
     #[allow(clippy::too_many_arguments)]
     pub fn query(
         &mut self,
@@ -227,15 +219,15 @@ impl PartitionedLut {
             dst_row,
             &mut scratch,
         )?;
-        Ok((std::mem::take(scratch.out_mut()), cost))
+        Ok((scratch.out, cost))
     }
 
-    /// [`PartitionedLut::query`] with caller-owned scratch buffers: the
+    /// [`PlutoStore::query`] with caller-owned scratch buffers: the
     /// merged output vector lands in [`QueryScratch::outputs`]. This is
-    /// the hot-path entry point the machine/controller use.
+    /// the hot-path entry point the machine uses.
     ///
     /// # Errors
-    /// Fails if any input exceeds the logical LUT's range.
+    /// Same conditions as [`PlutoStore::query`].
     #[allow(clippy::too_many_arguments)]
     pub fn query_with(
         &mut self,
@@ -248,23 +240,24 @@ impl PartitionedLut {
         dst_row: RowId,
         scratch: &mut QueryScratch,
     ) -> Result<PartitionedCost, PlutoError> {
+        let QueryScratch { out, row, .. } = scratch;
         self.query_fused(
-            engine, design, source, dest, inputs, src_row, dst_row, scratch, true,
+            engine, design, source, dest, inputs, src_row, dst_row, out, row, true,
         )
     }
 
-    /// Partitioned query whose input vector is already resident in
-    /// `src_row` of `source` (the controller's `pluto_op` path):
-    /// `num_slots` slots at the parent LUT's slot width are read back as
-    /// global indices, queried, and the source row is left holding the
-    /// same global index vector it started with.
+    /// Query whose input vector is already resident in `src_row` of
+    /// `source` (the controller's `pluto_op` path): `num_slots` slots at
+    /// the parent LUT's slot width are read back as global indices,
+    /// queried, and the source row is left holding the same global index
+    /// vector it started with.
     ///
     /// When the parent's slot width already bounds every representable
     /// value to a valid index ([`Lut::slot_width_bounds_inputs`]), the
     /// per-query linear range scan is hoisted off this path entirely.
     ///
     /// # Errors
-    /// Fails if any resident slot exceeds the logical LUT's range.
+    /// Same conditions as [`PlutoStore::query`].
     #[allow(clippy::too_many_arguments)]
     pub fn query_resident_with(
         &mut self,
@@ -282,22 +275,20 @@ impl PartitionedLut {
             subarray: source,
             row: src_row,
         };
-        let mut resident = std::mem::take(&mut self.resident);
-        engine.peek_row_into(src_loc, &mut self.row)?;
-        unpack_slots_into(&self.row, self.lut.slot_bits(), num_slots, &mut resident);
+        let QueryScratch { live, out, row } = scratch;
+        engine.peek_row_into(src_loc, row)?;
+        unpack_slots_into(row, self.lut.slot_bits(), num_slots, live);
         let validate = !self.lut.slot_width_bounds_inputs();
-        let result = self.query_fused(
-            engine, design, source, dest, &resident, src_row, dst_row, scratch, validate,
-        );
-        self.resident = resident;
-        result
+        self.query_fused(
+            engine, design, source, dest, live, src_row, dst_row, out, row, validate,
+        )
     }
 
     /// The fused single-pass query behind both entry points: one gather
-    /// over the parent element table produces the merged outputs, one
-    /// pack each for the source/destination rows, and each segment's
-    /// command stream is issued as a parallel lane on the engine
-    /// (`issue_lanes_serial`, the one partitioned lane path).
+    /// over the parent element table produces the merged outputs in
+    /// `out`, one pack each for the source/destination rows (staged in
+    /// `row`), and each segment's command stream is issued as a parallel
+    /// lane on the engine (`issue_lanes`).
     #[allow(clippy::too_many_arguments)]
     fn query_fused(
         &mut self,
@@ -308,7 +299,8 @@ impl PartitionedLut {
         inputs: &[u64],
         src_row: RowId,
         dst_row: RowId,
-        scratch: &mut QueryScratch,
+        out: &mut Vec<u64>,
+        row: &mut Vec<u8>,
         validate: bool,
     ) -> Result<PartitionedCost, PlutoError> {
         if validate {
@@ -336,9 +328,8 @@ impl PartitionedLut {
         // The fused single pass: data work is one gather over the parent
         // table (plus the two packs below), regardless of segment count.
         let elements = self.lut.elements();
-        self.merged.clear();
-        self.merged
-            .extend(inputs.iter().map(|&x| elements[x as usize]));
+        out.clear();
+        out.extend(inputs.iter().map(|&x| elements[x as usize]));
 
         // Real §5.6 hardware broadcasts the *global* index vector to every
         // segment; poke it once (zero-cost backdoor — the per-lane
@@ -348,8 +339,8 @@ impl PartitionedLut {
             subarray: source,
             row: src_row,
         };
-        pack_slots_into(inputs, slot_bits, row_bytes, &mut self.row)?;
-        engine.poke_row(src_loc, &self.row)?;
+        pack_slots_into(inputs, slot_bits, row_bytes, row)?;
+        engine.poke_row(src_loc, row)?;
 
         // §5.6: all segments sweep simultaneously. Issue each segment's
         // command stream as a parallel lane from one start time; the
@@ -361,31 +352,31 @@ impl PartitionedLut {
         // copy-out only drives the slots its segment matched; the merged
         // vector is what the destination row holds when the last lane's
         // RBM lands).
-        pack_slots_into(&self.merged, slot_bits, row_bytes, &mut self.row)?;
-        self.issue_lanes_serial(engine, design, source, dest, src_loc, dst_row)?;
+        pack_slots_into(out, slot_bits, row_bytes, row)?;
+        self.issue_lanes(engine, design, source, dest, src_loc, dst_row, row)?;
 
-        let cost = PartitionedCost {
+        Ok(PartitionedCost {
             segments: self.segments.len(),
             latency: engine.elapsed() - clock0,
             energy: engine.command_energy() - energy0,
-        };
-        std::mem::swap(scratch.out_mut(), &mut self.merged);
-        Ok(cost)
+        })
     }
 
     /// Issues every segment's command stream serially on the engine, each
     /// as a parallel lane from the current clock. The per-lane spend
-    /// sequence replicates [`QueryExecutor::execute_resident_with`]
+    /// sequence replicates
+    /// [`crate::query::QueryExecutor::execute_resident_with`]
     /// exactly (reload → activate → sweep → precharge/destroy → copy-out),
-    /// so cost, counters, and the tFAW window evolve bit-identically to
-    /// the old per-segment executor loop. `self.row` must hold the packed
-    /// merged output row.
+    /// so cost, counters, and the tFAW window evolve bit-identically to a
+    /// per-segment executor loop. `out_row` must hold the packed merged
+    /// output row.
     ///
     /// Each lane consults the compiled-plan cache (`crate::plan`): a
     /// warm lane applies its memoized cost tape and skips issuance; the
     /// functional effects the tape stands in for — the destination-row
     /// commit and GSA destruction — are applied directly.
-    fn issue_lanes_serial(
+    #[allow(clippy::too_many_arguments)]
+    fn issue_lanes(
         &mut self,
         engine: &mut Engine,
         design: DesignKind,
@@ -393,10 +384,10 @@ impl PartitionedLut {
         dest: SubarrayId,
         src_loc: RowLoc,
         dst_row: RowId,
+        out_row: &[u8],
     ) -> Result<(), PlutoError> {
         let bank = src_loc.bank;
         let clock0 = engine.elapsed();
-        let out_row = &self.row;
         let mut slowest = clock0;
         let plans_ok = self.use_plans && !engine.trace_enabled();
         let mut any_replayed = false;
@@ -408,13 +399,11 @@ impl PartitionedLut {
             let mut record: Option<PlanKey> = None;
             if legal {
                 let key = PlanKey::new(
-                    PlanShape::Lane,
                     engine,
                     design,
                     store,
                     store.subarray().0.abs_diff(dest.0),
                     dest == source,
-                    0,
                 );
                 match plan::lookup(&key) {
                     Some(tape) if tape.replayable_from(engine) => {
@@ -466,13 +455,14 @@ impl PartitionedLut {
                     subarray: dest,
                     row: dst_row,
                 },
-                &self.row,
+                out_row,
             )?;
         }
         Ok(())
     }
 
-    /// The retained pre-fusion data path: one full [`QueryExecutor`] run
+    /// The retained pre-fusion data path: one full
+    /// [`crate::query::QueryExecutor`] run
     /// per segment with rebased inputs, re-packed source rows, and an
     /// O(N × slots) output merge. Kept verbatim as the differential
     /// oracle — `tests/partition_fused.rs` asserts the fused path matches
@@ -503,8 +493,8 @@ impl PartitionedLut {
         let bank = self.bank();
         let slot_bits = self.lut.slot_bits();
         let row_bytes = engine.config().row_bytes;
-        self.merged.clear();
-        self.merged.resize(inputs.len(), 0);
+        let mut merged = vec![0; inputs.len()];
+        let mut local = Vec::with_capacity(inputs.len());
 
         let clock0 = engine.elapsed();
         let energy0 = engine.command_energy();
@@ -515,28 +505,25 @@ impl PartitionedLut {
             let span = store.lut().len() as u64;
             // Inputs rebased into this segment; out-of-segment slots query
             // index 0 (their captured values are discarded on merge).
-            self.local.clear();
-            self.local.extend(inputs.iter().map(|&x| {
+            local.clear();
+            local.extend(inputs.iter().map(|&x| {
                 if x >= base && x < base + span {
                     x - base
                 } else {
                     0
                 }
             }));
-            let placement = QueryPlacement {
+            let placement = crate::query::QueryPlacement {
                 bank,
                 source,
                 pluto: store.subarray(),
                 dest,
             };
-            let mut ex = QueryExecutor::new(engine, design);
-            // The reference is the issuing oracle — never serve it from
-            // (or populate) the plan cache.
-            ex.set_use_plans(false);
-            ex.execute_with(store, placement, &self.local, src_row, dst_row, scratch)?;
+            crate::query::QueryExecutor::new(engine, design)
+                .execute_with(store, placement, &local, src_row, dst_row, scratch)?;
             for (i, &x) in inputs.iter().enumerate() {
                 if x >= base && x < base + span {
-                    self.merged[i] = scratch.outputs()[i];
+                    merged[i] = scratch.outputs()[i];
                 }
             }
             slowest = slowest.max(engine.elapsed());
@@ -550,30 +537,30 @@ impl PartitionedLut {
             subarray: source,
             row: src_row,
         };
-        pack_slots_into(inputs, slot_bits, row_bytes, &mut self.row)?;
-        engine.poke_row(src_loc, &self.row)?;
+        pack_slots_into(inputs, slot_bits, row_bytes, &mut scratch.row)?;
+        engine.poke_row(src_loc, &scratch.row)?;
         let dst_loc = RowLoc {
             bank,
             subarray: dest,
             row: dst_row,
         };
-        pack_slots_into(&self.merged, slot_bits, row_bytes, &mut self.row)?;
-        engine.poke_row(dst_loc, &self.row)?;
+        pack_slots_into(&merged, slot_bits, row_bytes, &mut scratch.row)?;
+        engine.poke_row(dst_loc, &scratch.row)?;
 
         let cost = PartitionedCost {
             segments: self.segments.len(),
             latency: engine.elapsed() - clock0,
             energy: engine.command_energy() - energy0,
         };
-        std::mem::swap(scratch.out_mut(), &mut self.merged);
+        scratch.out = merged;
         Ok(cost)
     }
 }
 
-/// One segment's issuing lane — the spend sequence the per-segment
-/// [`QueryExecutor`] produced pre-fusion, and the authoritative oracle a
-/// lane-shaped plan tape is recorded from. `out_row` must hold the packed
-/// merged output row.
+/// One segment's issuing lane — the spend sequence a per-segment
+/// [`crate::query::QueryExecutor`] query produces, and the authoritative oracle a
+/// plan tape is recorded from. `out_row` must hold the packed merged
+/// output row.
 #[allow(clippy::too_many_arguments)]
 fn issue_lane(
     engine: &mut Engine,
@@ -620,199 +607,6 @@ fn issue_lane(
     Ok(())
 }
 
-/// A LUT resident in one *or many* pLUTo-enabled subarrays: the unified
-/// store the execution stack queries without caring whether the table fit
-/// a single subarray or was partitioned per §5.6.
-#[derive(Debug)]
-pub enum PlutoStore {
-    /// The LUT fits one subarray (a plain [`LutStore`]).
-    Single(LutStore),
-    /// The LUT exceeds `rows_per_subarray` and was partitioned (§5.6).
-    Partitioned(PartitionedLut),
-}
-
-impl PlutoStore {
-    /// Materializes `lut` starting at `first_subarray`, claiming
-    /// consecutive (pLUTo, master) subarray pairs: one pair for a LUT
-    /// that fits a subarray, one pair per segment otherwise.
-    ///
-    /// Routing is by *sweep legality*, not just size: a LUT whose length
-    /// exceeds `rows_per_subarray` partitions across subarrays, and a
-    /// truncated LUT whose length is not a power of two — which §6.1
-    /// forbids as a single sweep — takes the partitioned path too, where
-    /// it is padded to a power-of-two (possibly single-segment) sweep.
-    ///
-    /// # Errors
-    /// Fails if the bank runs out of subarrays.
-    pub fn load(
-        engine: &mut Engine,
-        lut: Lut,
-        bank: BankId,
-        first_subarray: SubarrayId,
-    ) -> Result<Self, PlutoError> {
-        if lut.len() > engine.config().rows_per_subarray as usize || !lut.len().is_power_of_two() {
-            return Ok(PlutoStore::Partitioned(PartitionedLut::load(
-                engine,
-                lut,
-                bank,
-                first_subarray,
-            )?));
-        }
-        let master = SubarrayId(first_subarray.0 + 1);
-        if master.0 >= engine.config().subarrays_per_bank {
-            return Err(PlutoError::AllocationFailed {
-                reason: "out of pLUTo-enabled subarrays".into(),
-            });
-        }
-        Ok(PlutoStore::Single(LutStore::load(
-            engine,
-            lut,
-            bank,
-            first_subarray,
-            master,
-            0,
-        )?))
-    }
-
-    /// The logical LUT this store answers queries for.
-    pub fn lut(&self) -> &Lut {
-        match self {
-            PlutoStore::Single(s) => s.lut(),
-            PlutoStore::Partitioned(p) => p.lut(),
-        }
-    }
-
-    /// Whether the LUT was partitioned across subarrays.
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self, PlutoStore::Partitioned(_))
-    }
-
-    /// Number of pLUTo-enabled subarrays sweeping per query.
-    pub fn segment_count(&self) -> usize {
-        match self {
-            PlutoStore::Single(_) => 1,
-            PlutoStore::Partitioned(p) => p.segment_count(),
-        }
-    }
-
-    /// Subarrays this store occupies (one (pLUTo, master) pair per
-    /// segment) — what an allocator must advance its cursor by.
-    pub fn subarrays_claimed(&self) -> u16 {
-        2 * self.segment_count() as u16
-    }
-
-    /// Executes one bulk LUT query through whichever data path the store
-    /// uses, with caller-owned scratch buffers: inputs are packed into
-    /// `src_row` of `source`, the output vector is committed to `dst_row`
-    /// of `dest` and lands in [`QueryScratch::outputs`]. Returns the
-    /// §5.6-merged cost (a single-subarray query is the 1-segment case).
-    ///
-    /// # Errors
-    /// Fails if any input exceeds the LUT's range, the inputs exceed one
-    /// row's slot capacity, or on any underlying DRAM error.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_with(
-        &mut self,
-        engine: &mut Engine,
-        design: DesignKind,
-        source: SubarrayId,
-        dest: SubarrayId,
-        inputs: &[u64],
-        src_row: RowId,
-        dst_row: RowId,
-        scratch: &mut QueryScratch,
-    ) -> Result<PartitionedCost, PlutoError> {
-        self.route(
-            engine,
-            design,
-            source,
-            dest,
-            QueryInput::Slots(inputs),
-            src_row,
-            dst_row,
-            scratch,
-        )
-    }
-
-    /// [`PlutoStore::query_with`] for an input vector already resident in
-    /// `src_row` (the controller's `pluto_op` path).
-    ///
-    /// # Errors
-    /// Same conditions as [`PlutoStore::query_with`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_resident_with(
-        &mut self,
-        engine: &mut Engine,
-        design: DesignKind,
-        source: SubarrayId,
-        dest: SubarrayId,
-        src_row: RowId,
-        dst_row: RowId,
-        num_slots: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<PartitionedCost, PlutoError> {
-        self.route(
-            engine,
-            design,
-            source,
-            dest,
-            QueryInput::Resident(num_slots),
-            src_row,
-            dst_row,
-            scratch,
-        )
-    }
-
-    /// The single routing layer behind both query entry points: picks the
-    /// single-subarray executor or the partitioned fused path, then
-    /// dispatches on how the inputs arrive.
-    #[allow(clippy::too_many_arguments)]
-    fn route(
-        &mut self,
-        engine: &mut Engine,
-        design: DesignKind,
-        source: SubarrayId,
-        dest: SubarrayId,
-        input: QueryInput<'_>,
-        src_row: RowId,
-        dst_row: RowId,
-        scratch: &mut QueryScratch,
-    ) -> Result<PartitionedCost, PlutoError> {
-        match self {
-            PlutoStore::Single(store) => {
-                let placement = QueryPlacement {
-                    bank: store.bank(),
-                    source,
-                    pluto: store.subarray(),
-                    dest,
-                };
-                let mut ex = QueryExecutor::new(engine, design);
-                let cost = match input {
-                    QueryInput::Slots(inputs) => {
-                        ex.execute_with(store, placement, inputs, src_row, dst_row, scratch)?
-                    }
-                    QueryInput::Resident(n) => {
-                        ex.execute_resident_with(store, placement, src_row, dst_row, n, scratch)?
-                    }
-                };
-                Ok(PartitionedCost {
-                    segments: 1,
-                    latency: cost.total(),
-                    energy: cost.energy,
-                })
-            }
-            PlutoStore::Partitioned(p) => match input {
-                QueryInput::Slots(inputs) => p.query_with(
-                    engine, design, source, dest, inputs, src_row, dst_row, scratch,
-                ),
-                QueryInput::Resident(n) => p.query_resident_with(
-                    engine, design, source, dest, src_row, dst_row, n, scratch,
-                ),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -838,7 +632,7 @@ mod tests {
         let mut e = engine();
         // 256-entry LUT over 64-row subarrays => 4 segments.
         let lut = Lut::from_fn("sq8", 8, 16, |x| x * x).unwrap();
-        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let mut part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         assert_eq!(part.segment_count(), 4);
         let inputs: Vec<u64> = (0..16u64).map(|i| i * 16 + 3).collect();
         let (out, cost) = part
@@ -862,12 +656,12 @@ mod tests {
         // Latency equals a single 64-row query; energy is ~4x.
         let mut e = engine();
         let small = Lut::from_fn("sq6", 6, 16, |x| x * x).unwrap(); // 64 rows, 1 segment
-        let mut p1 = PartitionedLut::load(&mut e, small, BankId(0), SubarrayId(2)).unwrap();
+        let mut p1 = PlutoStore::load(&mut e, small, BankId(0), SubarrayId(2)).unwrap();
         let (_, c1) = p1
             .query(&mut e, DesignKind::Bsa, SRC, DST, &[5], RowId(0), RowId(1))
             .unwrap();
         let big = Lut::from_fn("sq8b", 8, 16, |x| x * x).unwrap(); // 4 segments
-        let mut p4 = PartitionedLut::load(&mut e, big, BankId(0), SubarrayId(10)).unwrap();
+        let mut p4 = PlutoStore::load(&mut e, big, BankId(0), SubarrayId(10)).unwrap();
         let (_, c4) = p4
             .query(&mut e, DesignKind::Bsa, SRC, DST, &[5], RowId(0), RowId(1))
             .unwrap();
@@ -895,7 +689,7 @@ mod tests {
         for design in DesignKind::ALL {
             let mut e = engine();
             let lut = Lut::from_fn("acct8", 8, 16, |x| x * 3).unwrap();
-            let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+            let mut part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
             let inputs: Vec<u64> = (0..16u64).map(|i| i * 17 % 256).collect();
             let t0 = e.elapsed();
             let e0 = e.command_energy();
@@ -917,7 +711,7 @@ mod tests {
         // non-power-of-two segment outright.
         let mut e = engine();
         let lut = Lut::from_fn_len("odd650", 650, 16, |x| (x * x) & 0xFFFF).unwrap();
-        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let mut part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         assert_eq!(part.segment_count(), 11);
         assert_eq!(part.segments()[10].lut().len(), 16, "tail padded to 2^4");
         // Seam and tail indices answer from the logical table.
@@ -961,7 +755,7 @@ mod tests {
         let mut e = engine();
         let lut = Lut::from_fn("narrow8to4", 8, 4, |x| x % 13).unwrap();
         let parent = lut.clone();
-        let part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         let row_bytes = e.config().row_bytes;
         let per_row = slots_per_row(row_bytes, parent.slot_bits());
         for (k, seg) in part.segments().iter().enumerate() {
@@ -987,7 +781,7 @@ mod tests {
         // both the pLUTo and master subarrays, and tail pad rows are zero.
         let mut e = engine();
         let lut = Lut::from_fn_len("slice650", 650, 16, |x| (x * 7) & 0xFFFF).unwrap();
-        let part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         let tail = part.segments().last().unwrap();
         for i in 0..tail.lut().len() {
             let pluto_row = e.peek_row(tail.element_row(i)).unwrap();
@@ -1020,7 +814,7 @@ mod tests {
         let mut e = engine();
         let lut = Lut::from_fn("sq8r", 8, 16, |x| x * x).unwrap();
         let slot = lut.slot_bits();
-        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let mut part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         let inputs: Vec<u64> = vec![7, 200, 70, 135];
         part.query(
             &mut e,
@@ -1052,18 +846,10 @@ mod tests {
     }
 
     #[test]
-    fn small_luts_stay_single_segment() {
-        let mut e = engine();
-        let lut = Lut::from_fn("id4", 4, 4, |x| x).unwrap();
-        let part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
-        assert_eq!(part.segment_count(), 1);
-    }
-
-    #[test]
     fn out_of_range_inputs_rejected() {
         let mut e = engine();
         let lut = Lut::from_fn("sq8c", 8, 16, |x| x * x).unwrap();
-        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let mut part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         assert!(matches!(
             part.query(
                 &mut e,
@@ -1090,41 +876,37 @@ mod tests {
         });
         let lut = Lut::from_fn("sq8d", 8, 16, |x| x * x).unwrap();
         assert!(matches!(
-            PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)),
+            PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)),
             Err(PlutoError::AllocationFailed { .. })
         ));
     }
 
     #[test]
-    fn pluto_store_routes_by_size_and_claims_pairs() {
+    fn segment_count_and_claimed_subarrays_follow_lut_size() {
+        // A LUT that fits one subarray is one segment; a larger one claims
+        // one (pLUTo, master) pair per 64-row segment.
         let mut e = engine();
         let small = Lut::from_fn("route4", 4, 4, |x| x).unwrap();
         let s = PlutoStore::load(&mut e, small, BankId(0), SubarrayId(2)).unwrap();
-        assert!(!s.is_partitioned());
+        assert_eq!(s.segment_count(), 1);
         assert_eq!(s.subarrays_claimed(), 2);
         let big = Lut::from_fn("route8", 8, 16, |x| x + 1).unwrap();
         let p = PlutoStore::load(&mut e, big, BankId(0), SubarrayId(4)).unwrap();
-        assert!(p.is_partitioned());
         assert_eq!(p.segment_count(), 4);
         assert_eq!(p.subarrays_claimed(), 8);
     }
 
     #[test]
-    fn non_power_of_two_luts_route_partitioned_even_when_they_fit() {
-        // §6.1 forbids a non-power-of-two single sweep, so a truncated
-        // 50-entry LUT on a 64-row subarray still takes the partitioned
-        // path: one segment, padded to a 64-row sweep.
+    fn non_power_of_two_luts_fit_one_padded_segment() {
+        // §6.1 forbids a non-power-of-two sweep, so a truncated 50-entry
+        // LUT on a 64-row subarray is one segment padded to a 64-row
+        // sweep.
         let mut e = engine();
         let lut = Lut::from_fn_len("odd50", 50, 16, |x| x * 5).unwrap();
         let mut store = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
-        assert!(store.is_partitioned());
         assert_eq!(store.segment_count(), 1);
-        match &store {
-            PlutoStore::Partitioned(p) => {
-                assert_eq!(p.segments()[0].lut().len(), 64, "padded to 2^6")
-            }
-            PlutoStore::Single(_) => unreachable!(),
-        }
+        assert_eq!(store.subarrays_claimed(), 2);
+        assert_eq!(store.segments()[0].lut().len(), 64, "padded to 2^6");
         let mut scratch = QueryScratch::new();
         store
             .query_with(
@@ -1156,13 +938,16 @@ mod tests {
     }
 
     #[test]
-    fn pluto_store_query_is_uniform_across_both_paths() {
-        // The same `query_with` call answers a small and a large LUT.
+    fn pluto_store_query_is_uniform_across_segment_counts() {
+        // The same `query_with` call answers a one-segment and a
+        // four-segment LUT.
         let mut e = engine();
         let mut scratch = QueryScratch::new();
-        for (name, bits) in [("uni6", 6u32), ("uni8", 8u32)] {
+        for (name, bits, segments) in [("uni6", 6u32, 1usize), ("uni8", 8u32, 4usize)] {
             let lut = Lut::from_fn(name, bits, 16, |x| x * 2 + 1).unwrap();
             let mut store = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(20)).unwrap();
+            assert_eq!(store.segment_count(), segments, "{name}");
+            assert_eq!(store.subarrays_claimed(), 2 * segments as u16, "{name}");
             let n = 1u64 << bits;
             let inputs: Vec<u64> = (0..8u64).map(|i| i * (n / 8)).collect();
             let cost = store
@@ -1179,7 +964,7 @@ mod tests {
                 .unwrap();
             let expect: Vec<u64> = inputs.iter().map(|&x| x * 2 + 1).collect();
             assert_eq!(scratch.outputs(), expect, "{name}");
-            assert_eq!(cost.segments, store.segment_count(), "{name}");
+            assert_eq!(cost.segments, segments, "{name}");
             assert!(cost.latency > Picos::ZERO && cost.energy > PicoJoules::ZERO);
         }
     }
@@ -1200,7 +985,7 @@ mod tests {
             ..DramConfig::ddr4_2400()
         };
         let lut = catalog::mul(8).unwrap();
-        let first = PartitionedLut::load(
+        let first = PlutoStore::load(
             &mut Engine::new(cfg.clone()),
             lut.clone(),
             BankId(0),
@@ -1212,7 +997,7 @@ mod tests {
         let probe = Arc::clone(partition.segments[77].1.rows()[300].as_ref().unwrap());
         let before = Arc::strong_count(&probe);
         let mut e = Engine::new(cfg);
-        let part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         assert_eq!(Arc::strong_count(&probe), before);
         assert_eq!(
             e.peek_row(part.segments()[77].element_row(300)).unwrap(),

@@ -1,15 +1,17 @@
 //! Compiled query plans (`DESIGN.md` §10): a process-wide cache of
-//! [`CostTape`]s memoizing the command-stream cost of a query.
+//! [`CostTape`]s memoizing the command-stream cost of one query lane.
 //!
-//! The PR 4 word-parallel split made commands authoritative for *cost* and
-//! words authoritative for *data*. A query's command stream — and therefore
+//! The word-parallel split made commands authoritative for *cost* and
+//! words authoritative for *data*. A lane's command stream — and therefore
 //! its cost delta — is a pure function of the effective configuration,
-//! design, LUT geometry, placement distances, and residency state; the data
-//! path is a single gather. So the cost side can be *compiled*: the first
-//! execution under a `PlanKey` records a [`CostTape`] while running the
-//! ordinary issuing path, and every later execution under the same key
-//! performs only the gather + pack and applies the tape via
-//! [`Engine::apply_replayed`], skipping per-command simulation entirely.
+//! design, segment geometry, placement distances, and residency state; the
+//! data path is a single gather. So the cost side can be *compiled*: the
+//! first lane issued under a `PlanKey` records a [`CostTape`] while running
+//! the ordinary issuing path, and every later lane under the same key
+//! applies the tape via [`Engine::apply_replayed`], skipping per-command
+//! simulation entirely. There is one plan shape, because there is one
+//! query path ([`crate::partition::PlutoStore`]): a one-subarray LUT's
+//! query is one lane, an N-segment query is N lanes.
 //!
 //! ## Legality
 //!
@@ -26,8 +28,9 @@
 //!
 //! Any failed gate falls back to full issuance (counted in
 //! [`PlanStats::fallbacks`]) and the issuing path stays available as the
-//! differential oracle (`QueryExecutor::set_use_plans(false)`), mirroring
-//! `execute_scalar_reference` / `query_serial_reference`.
+//! differential oracle (`PlutoStore::set_use_plans(false)`, or the
+//! plans-free `QueryExecutor`), mirroring `execute_scalar_reference` /
+//! `query_serial_reference`.
 //!
 //! The cache mirrors the packed-row cache in [`crate::store`]: one
 //! process-wide map under a mutex, cleared wholesale past a deterministic
@@ -44,43 +47,27 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Counters of the process-wide plan cache (see [`plan_stats`]).
 ///
-/// The unit is one tape lookup: a whole query for a one-subarray LUT,
-/// but one *lane* for a §5.6 partitioned query, which looks up a tape
-/// per segment — a 128-segment query counts 128.
+/// The unit is one lane: a query looks up one tape per segment, so a
+/// one-subarray LUT's query counts 1 and a 128-segment query counts 128.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStats {
-    /// Queries (partitioned: lanes) whose cost was applied from a
-    /// memoized tape.
+    /// Lanes whose cost was applied from a memoized tape.
     pub hits: u64,
-    /// Queries (partitioned: lanes) that recorded a new tape while
-    /// issuing.
+    /// Lanes that recorded a new tape while issuing.
     pub misses: u64,
-    /// Queries (partitioned: lanes) that ran the issuing path because a
-    /// legality gate failed (trace on, warm tFAW window, stale store, or
-    /// plans disabled on a differential-oracle executor).
+    /// Lanes that ran the issuing path because a legality gate failed
+    /// (trace on, warm tFAW window, stale store, or plans disabled on a
+    /// differential-oracle store).
     pub fallbacks: u64,
     /// Tapes currently cached.
     pub entries: usize,
 }
 
-/// Which executor shape a tape belongs to. A whole-query tape carries
-/// three phase marks (reload/setup/sweep boundaries, for the
-/// `QueryCost` breakdown); a partitioned per-lane tape carries none —
-/// the shapes must never alias even when every other key field matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum PlanShape {
-    /// One full [`crate::query::QueryExecutor`] query.
-    Query,
-    /// One segment lane of a partitioned query (`crate::partition`).
-    Lane,
-}
-
-/// Everything that can shift a query's command-stream cost delta. Two
-/// executions with equal keys issue identical command streams from any
-/// inert start state, so one recorded tape serves both.
+/// Everything that can shift a lane's command-stream cost delta. Two
+/// lanes with equal keys issue identical command streams from any inert
+/// start state, so one recorded tape serves both.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
-    shape: PlanShape,
     /// Effective DRAM geometry (row width bounds slot capacity; kind
     /// selects the default models).
     cfg: DramConfig,
@@ -103,9 +90,6 @@ pub(crate) struct PlanKey {
     output_bits: u32,
     slot_bits: u32,
     lut_len: usize,
-    /// Queried slot count (cost-neutral today, but part of the declared
-    /// plan identity so future slot-dependent commands stay sound).
-    num_slots: usize,
     /// LISA distance master ↔ pLUTo subarray (reload cost per row).
     reload_hops: u16,
     /// LISA distance pLUTo subarray ↔ destination (copy-out cost).
@@ -118,24 +102,21 @@ pub(crate) struct PlanKey {
 }
 
 impl PlanKey {
-    /// Builds the key for a query about to run on `engine` against
-    /// `store`. `out_hops` and `dest_is_source` come from the caller's
-    /// placement; `num_slots` is 0 for lane-shaped plans (a lane's cost
-    /// is slot-independent by construction).
+    /// Builds the key for a lane about to run on `engine` against the
+    /// segment `store`. `out_hops` and `dest_is_source` come from the
+    /// caller's placement; a lane's cost is slot-independent by
+    /// construction, so the queried slot count is not part of the key.
     pub(crate) fn new(
-        shape: PlanShape,
         engine: &Engine,
         design: DesignKind,
         store: &LutStore,
         out_hops: u16,
         dest_is_source: bool,
-        num_slots: usize,
     ) -> PlanKey {
         let t = engine.timing();
         let e = engine.energy_model();
         let lut = store.lut();
         PlanKey {
-            shape,
             cfg: engine.config().clone(),
             timing: [
                 t.t_rcd.as_ps(),
@@ -164,7 +145,6 @@ impl PlanKey {
             output_bits: lut.output_bits(),
             slot_bits: lut.slot_bits(),
             lut_len: lut.len(),
-            num_slots,
             reload_hops: store.master().0.abs_diff(store.subarray().0),
             out_hops,
             dest_is_source,
@@ -233,7 +213,7 @@ pub fn plan_stats() -> PlanStats {
 mod tests {
     use super::*;
     use crate::lut::Lut;
-    use crate::query::{QueryExecutor, QueryPlacement};
+    use crate::partition::PlutoStore;
     use pluto_dram::{BankId, DramConfig, RowId, SubarrayId};
 
     #[test]
@@ -254,13 +234,20 @@ mod tests {
             ..DramConfig::ddr4_2400()
         });
         let lut = Lut::from_table("plan-poison-probe", 2, 4, vec![3, 1, 4, 1]).unwrap();
-        let mut store =
-            LutStore::load(&mut e, lut, BankId(0), SubarrayId(2), SubarrayId(3), 0).unwrap();
-        let placement = QueryPlacement::adjacent(BankId(0), SubarrayId(2));
+        let mut store = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        assert_eq!(store.segment_count(), 1);
         let before = plan_stats();
         for _ in 0..2 {
-            let (out, _) = QueryExecutor::new(&mut e, DesignKind::Gmc)
-                .execute(&mut store, placement, &[0, 2, 3], RowId(0), RowId(1))
+            let (out, _) = store
+                .query(
+                    &mut e,
+                    DesignKind::Gmc,
+                    SubarrayId(0),
+                    SubarrayId(1),
+                    &[0, 2, 3],
+                    RowId(0),
+                    RowId(1),
+                )
                 .unwrap();
             assert_eq!(out, vec![3, 4, 1]);
         }

@@ -336,7 +336,6 @@ impl Engine {
             // lands on exactly the clock the issuing path reaches.
             let delta = (self.clock - rec.last_clock) + duration;
             rec.last_clock = self.clock + duration;
-            rec.spends += 1;
             match rec.ops.last_mut() {
                 Some(op)
                     if op.delta == delta
@@ -1095,23 +1094,11 @@ impl Engine {
             entry_stats: self.stats,
             entry_sig: self.timing_signature(),
             ops: Vec::new(),
-            marks: Vec::new(),
-            spends: 0,
             acts: 0,
             act_tail: Vec::new(),
             queued: 0,
             queue_tail: Vec::new(),
         });
-    }
-
-    /// Records a phase boundary on the active tape (a no-op outside a
-    /// capture): [`Engine::apply_replayed`] returns one `(clock, energy)`
-    /// snapshot per mark, in order, letting callers reconstruct per-phase
-    /// cost breakdowns without re-issuing commands.
-    pub fn mark_tape_phase(&mut self) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.marks.push(rec.spends);
-        }
     }
 
     /// Finishes the active capture and returns the tape, or `None` if no
@@ -1122,7 +1109,6 @@ impl Engine {
         let end_share_open = self.rank.share_open_sig(self.clock, self.timing.t_ras);
         self.recorder.take().map(|rec| CostTape {
             ops: rec.ops,
-            marks: rec.marks,
             stats: self.stats.since(&rec.entry_stats),
             entry_sig: rec.entry_sig,
             acts: rec.acts,
@@ -1144,48 +1130,29 @@ impl Engine {
     /// issued from the current clock: clock and energy end where the
     /// issuing path's sequence of additions ends (bit-identical), command
     /// counters merge, and the tFAW window is reconstructed from the
-    /// tape's activation tail. Returns one `(clock, energy)` snapshot per
-    /// recorded phase mark.
+    /// tape's activation tail.
     ///
-    /// Cost is O(ops + marks + binade crossings), not O(spends): a run of
+    /// Cost is O(ops + binade crossings), not O(spends): a run of
     /// `repeat` identical spends advances the clock by `delta * repeat`
     /// (exact u64 arithmetic) and the energy by
     /// [`PicoJoules::add_repeated`], which returns exactly what `repeat`
-    /// sequential f64 additions give. A run is split at every phase mark
-    /// inside it, so each snapshot is taken at its exact spend count.
+    /// sequential f64 additions give.
     ///
     /// Legality is the caller's contract:
     /// [`CostTape::replayable_from`] must hold (checked by
     /// `debug_assert`). Any capture in progress on *this* engine is
     /// dropped (a replayed delta has no per-command structure to
     /// re-record).
-    pub fn apply_replayed(&mut self, tape: &CostTape) -> Vec<(Picos, PicoJoules)> {
+    pub fn apply_replayed(&mut self, tape: &CostTape) {
         debug_assert!(
             tape.replayable_from(self),
             "cost-tape replay across backends or from a state with a different timing signature"
         );
         self.recorder = None;
         let entry = self.clock;
-        let mut snapshots = Vec::with_capacity(tape.marks.len());
-        let mut marks = tape.marks.iter().copied().peekable();
-        let mut done = 0u64;
         for op in &tape.ops {
-            let mut left = op.repeat;
-            while left > 0 {
-                while marks.next_if_eq(&done).is_some() {
-                    snapshots.push((self.clock, self.command_energy));
-                }
-                // Marks are recorded in spend order, so the next one lies
-                // strictly ahead of `done`.
-                let step = marks.peek().map_or(left, |&m| left.min(m - done));
-                self.clock += op.delta * step;
-                self.command_energy = self.command_energy.add_repeated(op.energy, step);
-                done += step;
-                left -= step;
-            }
-        }
-        while marks.next_if_eq(&done).is_some() {
-            snapshots.push((self.clock, self.command_energy));
+            self.clock += op.delta * op.repeat;
+            self.command_energy = self.command_energy.add_repeated(op.energy, op.repeat);
         }
         self.stats.merge(&tape.stats);
         // Reconstruct the window the issuing path would leave: its last
@@ -1212,7 +1179,6 @@ impl Engine {
         }
         self.rank
             .restore_open(&tape.end_bank_open, &tape.end_share_open, self.clock);
-        snapshots
     }
 }
 
@@ -1240,10 +1206,6 @@ struct TapeRecorder {
     /// Timing-state signature at capture start (replay-legality witness).
     entry_sig: TimingSig,
     ops: Vec<TapeOp>,
-    /// Phase boundaries, as spend counts (see [`Engine::mark_tape_phase`]).
-    marks: Vec<u64>,
-    /// Total spends so far (mark positions index into this count).
-    spends: u64,
     /// Total ACT issues so far.
     acts: u64,
     /// Offsets (from `entry_clock`) of the last ≤4 ACT issues, for
@@ -1261,7 +1223,7 @@ struct TapeRecorder {
 /// produces when issued from a [`Engine::tfaw_window_inert`] state.
 /// Captured with [`Engine::begin_tape`]/[`Engine::end_tape`] and applied —
 /// bit-identically, without re-simulating commands — with
-/// [`Engine::apply_replayed`], in O(ops + marks + binade crossings): each
+/// [`Engine::apply_replayed`], in O(ops + binade crossings): each
 /// run of identical spends is one u64 multiply for the clock and one
 /// closed-form f64 accumulation ([`PicoJoules::add_repeated`]) for the
 /// energy. The plan-cache layer in `pluto-core` keys
@@ -1270,7 +1232,6 @@ struct TapeRecorder {
 #[derive(Debug, Clone)]
 pub struct CostTape {
     ops: Vec<TapeOp>,
-    marks: Vec<u64>,
     stats: CommandStats,
     entry_sig: TimingSig,
     acts: u64,
@@ -1288,12 +1249,6 @@ pub struct CostTape {
 }
 
 impl CostTape {
-    /// Number of phase marks recorded on this tape (one
-    /// [`Engine::apply_replayed`] snapshot is returned per mark).
-    pub fn mark_count(&self) -> usize {
-        self.marks.len()
-    }
-
     /// Command-counter delta the taped stream produces.
     pub fn stats(&self) -> &CommandStats {
         &self.stats
@@ -1778,8 +1733,7 @@ mod tests {
     }
 
     /// A representative query-shaped stream (reload, activate, sweep,
-    /// precharge, copy-out RBM, precharge) issued on `e`, with a phase
-    /// mark after the reload and after the sweep.
+    /// precharge, copy-out RBM, precharge) issued on `e`.
     fn issue_query_shape(e: &mut Engine) {
         e.lisa_reload_rows(
             BankId(0),
@@ -1790,7 +1744,6 @@ mod tests {
             6,
         )
         .unwrap();
-        e.mark_tape_phase();
         e.activate(RowLoc::new(0, 1, 0)).unwrap();
         e.sweep_rows(
             BankId(0),
@@ -1800,7 +1753,6 @@ mod tests {
             SweepStepKind::ChargeShare,
         )
         .unwrap();
-        e.mark_tape_phase();
         e.precharge(BankId(0), SubarrayId(3)).unwrap();
         e.deposit_buffer(BankId(0), SubarrayId(3), &[0; 16])
             .unwrap();
@@ -1812,14 +1764,13 @@ mod tests {
     #[test]
     fn tape_replay_is_bit_identical_from_a_different_inert_state() {
         // Capture from one inert state, replay from another (different
-        // clock, different energy history). End clock, energy bits,
-        // counters, and phase snapshots must all match a freshly issued
-        // stream from the replay state.
+        // clock, different energy history). End clock, energy bits, and
+        // counters must all match a freshly issued stream from the replay
+        // state.
         let mut rec = binding();
         rec.begin_tape();
         issue_query_shape(&mut rec);
         let tape = rec.end_tape().expect("capture survived");
-        assert_eq!(tape.mark_count(), 2);
 
         // A different start state: some prior history, then idle long
         // enough that the window is inert.
@@ -1831,7 +1782,7 @@ mod tests {
         let mut b = a.clone();
 
         issue_query_shape(&mut a); // issuing oracle
-        let snaps = b.apply_replayed(&tape); // memoized replay
+        b.apply_replayed(&tape); // memoized replay
         assert_eq!(b.elapsed(), a.elapsed(), "replayed clock == issued clock");
         assert_eq!(
             b.command_energy().as_pj().to_bits(),
@@ -1839,9 +1790,6 @@ mod tests {
             "replayed energy bit-identical"
         );
         assert_eq!(b.stats(), a.stats(), "replayed counters == issued");
-        assert_eq!(snaps.len(), 2);
-        // Snapshots land on the same absolute clocks a marked issue would.
-        assert!(snaps[0].0 < snaps[1].0 && snaps[1].0 < b.elapsed());
     }
 
     #[test]
@@ -1898,97 +1846,5 @@ mod tests {
         e.begin_tape();
         e.abort_tape();
         assert!(e.end_tape().is_none(), "abort drops capture");
-    }
-
-    #[test]
-    fn replay_splits_runs_at_phase_marks_inside_them() {
-        // Non-dyadic energies make every f64 addition round, and a
-        // disabled tFAW window makes consecutive sweep steps identical
-        // spends, so the marks below fall inside one long run.
-        let energy = EnergyModel {
-            e_act: PicoJoules::from_pj(0.1),
-            e_pre: PicoJoules::from_pj(4.2e-3),
-            e_charge_share: PicoJoules::from_pj(13.37),
-            ..EnergyModel::ddr4()
-        };
-        let mut timing = TimingParams::ddr4_2400();
-        timing.t_faw = Picos::ZERO;
-        let fresh = || Engine::with_models(DramConfig::ddr4_2400(), timing.clone(), energy.clone());
-        let sweep = |e: &mut Engine, first: u16, count: usize| {
-            e.sweep_rows(
-                BankId(0),
-                SubarrayId(3),
-                RowId(first),
-                count,
-                SweepStepKind::ChargeShare,
-            )
-            .unwrap();
-        };
-        // Mark after 200, 400 and 407 of 411 sweep steps.
-        let chunks = [(0, 200), (200, 200), (400, 7)];
-
-        let mut rec = fresh();
-        rec.begin_tape();
-        for &(first, count) in &chunks {
-            sweep(&mut rec, first, count);
-            rec.mark_tape_phase();
-        }
-        sweep(&mut rec, 407, 4);
-        let tape = rec.end_tape().expect("capture survived");
-        let mut run_start = 0;
-        let inside = tape.ops.iter().any(|op| {
-            let run = run_start..run_start + op.repeat;
-            run_start = run.end;
-            tape.marks.iter().any(|&m| m > run.start && m < run.end)
-        });
-        assert!(inside, "a mark must split a run: {:?}", tape.ops);
-
-        // Issue and replay from a state with non-integer energy history.
-        let mut a = fresh();
-        a.sweep_rows(
-            BankId(0),
-            SubarrayId(5),
-            RowId(0),
-            37,
-            SweepStepKind::FullCycle,
-        )
-        .unwrap();
-        a.advance_clock_to(a.elapsed() + Picos::from_ns(100.0));
-        let mut b = a.clone();
-        let mut issued = Vec::new();
-        for &(first, count) in &chunks {
-            sweep(&mut a, first, count);
-            issued.push((a.elapsed(), a.command_energy().as_pj().to_bits()));
-        }
-        sweep(&mut a, 407, 4);
-        let replayed: Vec<_> = b
-            .apply_replayed(&tape)
-            .into_iter()
-            .map(|(t, e)| (t, e.as_pj().to_bits()))
-            .collect();
-        assert_eq!(replayed, issued, "snapshots at the exact spend counts");
-        assert_eq!(b.elapsed(), a.elapsed());
-        assert_eq!(
-            b.command_energy().as_pj().to_bits(),
-            a.command_energy().as_pj().to_bits()
-        );
-    }
-
-    #[test]
-    fn replay_with_leading_marks_snapshots_the_entry_state() {
-        // A tape whose first phase costs nothing (e.g. a no-reload query)
-        // has its first mark at zero spends; the snapshot must be the
-        // entry clock/energy.
-        let mut e = binding();
-        e.begin_tape();
-        e.mark_tape_phase();
-        e.activate(RowLoc::new(0, 0, 0)).unwrap();
-        e.precharge(BankId(0), SubarrayId(0)).unwrap();
-        let tape = e.end_tape().expect("capture survived");
-        let mut b = binding();
-        b.advance_clock_to(Picos::from_ns(40.0));
-        let entry = (b.elapsed(), b.command_energy());
-        let snaps = b.apply_replayed(&tape);
-        assert_eq!(snaps, vec![entry]);
     }
 }

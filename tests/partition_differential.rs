@@ -12,7 +12,7 @@
 
 use pluto_repro::core::cluster::Cluster;
 use pluto_repro::core::lut::unpack_slots;
-use pluto_repro::core::partition::PartitionedLut;
+use pluto_repro::core::partition::PlutoStore;
 use pluto_repro::core::session::{self, ExecConfig, Session, Workload};
 use pluto_repro::core::{DesignKind, Lut, LutStore, PlutoError, QueryExecutor, QueryPlacement};
 use pluto_repro::dram::{BankId, DramConfig, Engine, MemoryKind, RowId, RowLoc, SubarrayId};
@@ -79,7 +79,7 @@ fn partitioned_matches_host_oracle_and_unpartitioned_run() {
                 // Partitioned run.
                 let mut e = partitioned_engine(kind);
                 let mut part =
-                    PartitionedLut::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+                    PlutoStore::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
                 assert_eq!(part.segment_count(), segs, "{label}");
                 let (out, cost) = part
                     .query(
@@ -148,7 +148,7 @@ fn engine_deltas_equal_the_merged_cost_for_every_design_and_kind() {
         for design in DesignKind::ALL {
             let mut e = partitioned_engine(kind);
             let lut = Lut::from_fn("acct", 8, 16, |x| x ^ 0xA5).unwrap();
-            let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+            let mut part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
             let inputs: Vec<u64> = (0..16u64).map(|i| i * 16 + 7).collect();
             for round in 0..2 {
                 let t0 = e.elapsed();
@@ -185,7 +185,7 @@ fn gsa_partitioned_queries_reload_every_segment_every_query() {
     // charged inside every query, §5.2.1).
     let mut e = partitioned_engine(MemoryKind::Ddr4);
     let lut = Lut::from_fn("gsa8", 8, 16, |x| (x * 3) & 0xFFFF).unwrap();
-    let mut part = PartitionedLut::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+    let mut part = PlutoStore::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
     let inputs: Vec<u64> = vec![0, 64, 128, 192, 255];
     let host = lut.apply_all(&inputs).unwrap();
     let mut costs = Vec::new();
@@ -277,8 +277,8 @@ fn session_and_cluster_route_non_power_of_two_large_luts() {
 fn apply_and_map_agree_on_odd_length_luts_that_fit_one_subarray() {
     // Regression: a 650-entry truncated LUT on a 1024-row geometry used
     // to run as a §6.1-forbidden 650-step single sweep on the fast path
-    // while the ISA path rejected it. Both now route partitioned (one
-    // padded segment) and agree.
+    // while the ISA path rejected it. Both now query one padded segment
+    // and agree.
     let mut session = Session::builder(DesignKind::Gmc)
         .rows_per_subarray(1024)
         .build()

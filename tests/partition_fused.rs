@@ -1,24 +1,25 @@
 //! Fused-gather equivalence suite (`DESIGN.md` §8).
 //!
-//! The fused single-pass partitioned query
-//! ([`PartitionedLut::query_with`]) must be indistinguishable from the
-//! retained pre-fusion data path
-//! ([`PartitionedLut::query_serial_reference`] — one `QueryExecutor` run
+//! The fused single-pass query ([`PlutoStore::query_with`]) must be
+//! indistinguishable from the retained pre-fusion data path
+//! ([`PlutoStore::query_serial_reference`] — one `QueryExecutor` run
 //! per segment with rebased inputs and an O(N × slots) merge) in every
 //! observable except wall-clock: outputs, `PartitionedCost` **to the
 //! bit** (same latency `Picos`, same f64 energy — the per-lane spend
 //! sequence is replayed exactly, so even float non-associativity cannot
 //! separate them), engine clock/energy deltas, command counters, and the
 //! committed source/destination/LUT row bytes. Swept across segment
-//! counts {2, 3, 4, 8, 128} × all 3 designs × 2 memory kinds × both
+//! counts {1, 2, 3, 4, 8, 128} × all 3 designs × 2 memory kinds × both
 //! timing backends, with seam-boundary inputs, two rounds each (GSA's
-//! destroy-reload steady state included).
+//! destroy-reload steady state included). One segment is the
+//! one-subarray LUT: a one-lane query checked against exactly one
+//! `QueryExecutor` issuing query.
 //!
 //! Row-buffer residue is deliberately *not* compared: the fused path
 //! leaves different unlatched scratch in subarray buffers (transient GSA
 //! reloads, batched sweeps) — unspecified by design.
 
-use pluto_repro::core::partition::PartitionedLut;
+use pluto_repro::core::partition::PlutoStore;
 use pluto_repro::core::query::QueryScratch;
 use pluto_repro::core::{DesignKind, Lut};
 use pluto_repro::dram::{
@@ -28,9 +29,10 @@ use pluto_repro::dram::{
 /// Rows per subarray: small, so even the 128-segment sweep stays fast.
 const SEG_ROWS: usize = 64;
 
-/// Segment counts under test; 128 is the §5.6 high-segment-count regime
-/// (an 8192-entry table on this geometry).
-const SEGMENT_COUNTS: [usize; 5] = [2, 3, 4, 8, 128];
+/// Segment counts under test; 1 is a LUT that fits one subarray, 128 is
+/// the §5.6 high-segment-count regime (an 8192-entry table on this
+/// geometry).
+const SEGMENT_COUNTS: [usize; 6] = [1, 2, 3, 4, 8, 128];
 
 fn engine(kind: MemoryKind, segs: usize, backend: TimingBackend) -> Engine {
     Engine::new(DramConfig {
@@ -90,9 +92,9 @@ fn fused_gather_is_bit_identical_to_the_serial_reference() {
                 let mut ef = engine(kind, segs, backend);
                 let mut er = engine(kind, segs, backend);
                 let mut pf =
-                    PartitionedLut::load(&mut ef, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+                    PlutoStore::load(&mut ef, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
                 let mut pr =
-                    PartitionedLut::load(&mut er, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+                    PlutoStore::load(&mut er, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
                 assert_eq!(pf.segment_count(), segs, "{label}");
 
                 let mut sf = QueryScratch::new();
@@ -186,8 +188,8 @@ fn fused_gather_matches_reference_on_padded_tail_segments() {
     for design in DesignKind::ALL {
         let mut ef = engine(MemoryKind::Ddr4, 11, TimingBackend::Analytic);
         let mut er = engine(MemoryKind::Ddr4, 11, TimingBackend::Analytic);
-        let mut pf = PartitionedLut::load(&mut ef, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
-        let mut pr = PartitionedLut::load(&mut er, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+        let mut pf = PlutoStore::load(&mut ef, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+        let mut pr = PlutoStore::load(&mut er, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
         let mut sf = QueryScratch::new();
         let mut sr = QueryScratch::new();
         let cf = pf

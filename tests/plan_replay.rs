@@ -1,19 +1,19 @@
 //! Differential suite for the compiled query-plan cache (`DESIGN.md`
 //! §10): warm-plan replay must be indistinguishable from the full
-//! issuing path at every observable level — output words, `QueryCost` /
-//! `PartitionedCost` breakdowns, engine clock, energy (compared on raw
-//! `f64` bits), command counters, and committed DRAM rows — across all
-//! three designs × both memory kinds × varied tFAW scales × interleaved
-//! LUTs, cold and warm, including GSA's reload-per-query stores and
-//! 128-segment partitioned queries. Non-replayable contexts (command
-//! tracing, a tFAW-window signature mismatch) must fall back to full
-//! issuance, not replay a wrong tape.
+//! issuing path at every observable level — output words, the
+//! `PartitionedCost`, engine clock, energy (compared on raw `f64` bits),
+//! command counters, and committed DRAM rows — across all three designs
+//! × both memory kinds × varied tFAW scales × interleaved LUTs, cold and
+//! warm, including GSA's reload-per-query stores, one-segment stores
+//! (a LUT that fits one subarray is one lane) and 128-segment
+//! partitioned queries. The oracle is the same `PlutoStore` with plans
+//! off. Non-replayable contexts (command tracing, a tFAW-window
+//! signature mismatch) must fall back to full issuance, not replay a
+//! wrong tape.
 
 use pluto_repro::core::lut::{slots_per_row, width_mask, Lut};
-use pluto_repro::core::partition::PartitionedLut;
+use pluto_repro::core::partition::PlutoStore;
 use pluto_repro::core::plan;
-use pluto_repro::core::query::{QueryExecutor, QueryPlacement};
-use pluto_repro::core::store::LutStore;
 use pluto_repro::core::DesignKind;
 use pluto_repro::dram::{
     BankId, DramConfig, EnergyModel, Engine, MemoryKind, PicoJoules, Picos, RowId, RowLoc,
@@ -51,13 +51,21 @@ fn engine(kind: MemoryKind, t_faw_scale: f64) -> Engine {
     )
 }
 
-fn setup(e: &mut Engine, lut: Lut) -> (LutStore, QueryPlacement) {
-    let bank = BankId(0);
-    let pluto = SubarrayId(2);
-    let n = lut.len() as u16;
-    let base = e.config().rows_per_subarray - n;
-    let store = LutStore::load(e, lut, bank, pluto, SubarrayId(1), base).unwrap();
-    (store, QueryPlacement::adjacent(bank, pluto))
+/// Source and destination subarrays of every one-segment query below.
+const SRC: SubarrayId = SubarrayId(0);
+const DST: SubarrayId = SubarrayId(1);
+
+/// A one-segment store at `first` (pLUTo) and `first + 1` (master), with
+/// plans on or off (off: the issuing oracle).
+fn load(e: &mut Engine, lut: Lut, first: SubarrayId, plans: bool) -> PlutoStore {
+    let mut store = PlutoStore::load(e, lut, BankId(0), first).unwrap();
+    assert_eq!(store.segment_count(), 1, "the LUT fits one subarray");
+    store.set_use_plans(plans);
+    store
+}
+
+fn setup(e: &mut Engine, lut: Lut, plans: bool) -> PlutoStore {
+    load(e, lut, SubarrayId(2), plans)
 }
 
 /// A random LUT with an effectively unique name, so every sweep case
@@ -78,11 +86,11 @@ fn random_lut(g: &mut Gen, tag: u64) -> Lut {
     .unwrap()
 }
 
-/// The tentpole property: a fresh plans-enabled engine (whose first
-/// query records a tape and whose second replays from a warm clock), a
-/// second plans-enabled engine (whose first query replays the cached
-/// tape cold), and a plans-disabled issuing oracle are indistinguishable
-/// query by query.
+/// The tentpole property, on one-segment stores: a fresh plans-enabled
+/// engine (whose first query records a tape and whose second replays
+/// from a warm clock), a second plans-enabled engine (whose first query
+/// replays the cached tape cold), and a plans-disabled issuing oracle
+/// are indistinguishable query by query.
 #[test]
 fn warm_plan_replay_is_bit_identical_to_the_issuing_oracle() {
     let before = plan::plan_stats();
@@ -98,33 +106,26 @@ fn warm_plan_replay_is_bit_identical_to_the_issuing_oracle() {
                 let label = format!("{design}/{kind}/x{scale}/{}", lut.name());
 
                 let mut e_rec = engine(kind, scale);
-                let (mut store_r, placement) = setup(&mut e_rec, lut.clone());
+                let mut store_r = setup(&mut e_rec, lut.clone(), true);
                 let mut e_warm = engine(kind, scale);
-                let (mut store_w, _) = setup(&mut e_warm, lut.clone());
+                let mut store_w = setup(&mut e_warm, lut.clone(), true);
                 let mut e_oracle = engine(kind, scale);
-                let (mut store_o, _) = setup(&mut e_oracle, lut.clone());
+                let mut store_o = setup(&mut e_oracle, lut.clone(), false);
 
                 // Two back-to-back queries: the first records (recorder) /
                 // replays cold (warm engine); the second replays from a
                 // warm clock — or legally falls back when the live tFAW
                 // window diverges from the recorded signature.
                 for step in 0..2 {
-                    let (out_r, cost_r) = {
-                        let mut ex = QueryExecutor::new(&mut e_rec, design);
-                        ex.execute(&mut store_r, placement, &inputs, RowId(0), dst_row)
-                            .unwrap()
-                    };
-                    let (out_w, cost_w) = {
-                        let mut ex = QueryExecutor::new(&mut e_warm, design);
-                        ex.execute(&mut store_w, placement, &inputs, RowId(0), dst_row)
-                            .unwrap()
-                    };
-                    let (out_o, cost_o) = {
-                        let mut ex = QueryExecutor::new(&mut e_oracle, design);
-                        ex.set_use_plans(false);
-                        ex.execute(&mut store_o, placement, &inputs, RowId(0), dst_row)
-                            .unwrap()
-                    };
+                    let (out_r, cost_r) = store_r
+                        .query(&mut e_rec, design, SRC, DST, &inputs, RowId(0), dst_row)
+                        .unwrap();
+                    let (out_w, cost_w) = store_w
+                        .query(&mut e_warm, design, SRC, DST, &inputs, RowId(0), dst_row)
+                        .unwrap();
+                    let (out_o, cost_o) = store_o
+                        .query(&mut e_oracle, design, SRC, DST, &inputs, RowId(0), dst_row)
+                        .unwrap();
                     prop_assert_eq!(
                         &out_o,
                         &lut.apply_all(&inputs).unwrap(),
@@ -148,8 +149,8 @@ fn warm_plan_replay_is_bit_identical_to_the_issuing_oracle() {
                         );
                         prop_assert_eq!(e.stats(), e_oracle.stats(), "stats {who}#{step} {label}");
                         let dst = RowLoc {
-                            bank: placement.bank,
-                            subarray: placement.dest,
+                            bank: BankId(0),
+                            subarray: DST,
                             row: dst_row,
                         };
                         prop_assert_eq!(
@@ -182,47 +183,24 @@ fn interleaved_luts_replay_their_own_plans() {
             let mut e_plan = engine(MemoryKind::Ddr4, 1.0);
             let mut e_oracle = engine(MemoryKind::Ddr4, 1.0);
             // Two stores side by side: A at subarray 2, B at subarray 4.
-            let (mut sa_p, pa) = setup(&mut e_plan, lut_a.clone());
-            let (mut sa_o, _) = setup(&mut e_oracle, lut_a.clone());
-            let base_b = e_plan.config().rows_per_subarray - lut_b.len() as u16;
-            let mut sb_p = LutStore::load(
-                &mut e_plan,
-                lut_b.clone(),
-                BankId(0),
-                SubarrayId(4),
-                SubarrayId(3),
-                base_b,
-            )
-            .unwrap();
-            let mut sb_o = LutStore::load(
-                &mut e_oracle,
-                lut_b.clone(),
-                BankId(0),
-                SubarrayId(4),
-                SubarrayId(3),
-                base_b,
-            )
-            .unwrap();
-            let pb = QueryPlacement::adjacent(BankId(0), SubarrayId(4));
+            let mut sa_p = setup(&mut e_plan, lut_a.clone(), true);
+            let mut sa_o = setup(&mut e_oracle, lut_a.clone(), false);
+            let mut sb_p = load(&mut e_plan, lut_b.clone(), SubarrayId(4), true);
+            let mut sb_o = load(&mut e_oracle, lut_b.clone(), SubarrayId(4), false);
             let ins_a: Vec<u64> = g.vec(1, 4, |g| g.range(0..lut_a.len() as u64));
             let ins_b: Vec<u64> = g.vec(1, 4, |g| g.range(0..lut_b.len() as u64));
 
             for round in 0..3 {
-                for (which, store_p, store_o, placement, inputs) in [
-                    ("A", &mut sa_p, &mut sa_o, pa, &ins_a),
-                    ("B", &mut sb_p, &mut sb_o, pb, &ins_b),
+                for (which, store_p, store_o, inputs) in [
+                    ("A", &mut sa_p, &mut sa_o, &ins_a),
+                    ("B", &mut sb_p, &mut sb_o, &ins_b),
                 ] {
-                    let (out_p, cost_p) = {
-                        let mut ex = QueryExecutor::new(&mut e_plan, design);
-                        ex.execute(store_p, placement, inputs, RowId(0), RowId(1))
-                            .unwrap()
-                    };
-                    let (out_o, cost_o) = {
-                        let mut ex = QueryExecutor::new(&mut e_oracle, design);
-                        ex.set_use_plans(false);
-                        ex.execute(store_o, placement, inputs, RowId(0), RowId(1))
-                            .unwrap()
-                    };
+                    let (out_p, cost_p) = store_p
+                        .query(&mut e_plan, design, SRC, DST, inputs, RowId(0), RowId(1))
+                        .unwrap();
+                    let (out_o, cost_o) = store_o
+                        .query(&mut e_oracle, design, SRC, DST, inputs, RowId(0), RowId(1))
+                        .unwrap();
                     let label = format!("{design}/{which}#{round}");
                     prop_assert_eq!(&out_p, &out_o, "outputs {label}");
                     prop_assert_eq!(cost_p, cost_o, "cost {label}");
@@ -266,10 +244,10 @@ fn partitioned_lanes_replay_warm_including_128_segments() {
         .unwrap();
         let mut e_plan = Engine::new(cfg.clone());
         let mut p_plan =
-            PartitionedLut::load(&mut e_plan, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+            PlutoStore::load(&mut e_plan, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
         let mut e_oracle = Engine::new(cfg.clone());
         let mut p_oracle =
-            PartitionedLut::load(&mut e_oracle, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+            PlutoStore::load(&mut e_oracle, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
         p_oracle.set_use_plans(false);
         assert_eq!(p_plan.segment_count(), 128);
 
@@ -342,9 +320,9 @@ fn partitioned_lanes_replay_bit_identically_under_non_integer_energies() {
         .unwrap();
         let (mut e_plan, mut e_oracle) = (fresh(), fresh());
         let mut p_plan =
-            PartitionedLut::load(&mut e_plan, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+            PlutoStore::load(&mut e_plan, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
         let mut p_oracle =
-            PartitionedLut::load(&mut e_oracle, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+            PlutoStore::load(&mut e_oracle, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
         p_oracle.set_use_plans(false);
         assert_eq!(p_plan.segment_count(), 128);
 
@@ -441,23 +419,19 @@ fn non_replayable_contexts_fall_back_to_full_issuance() {
     // delta has no command stream to append), and its trace must match
     // the plans-disabled twin's exactly.
     let before = plan::plan_stats();
+    let gmc = DesignKind::Gmc;
     let mut e_traced = engine(MemoryKind::Ddr4, 1.0);
     e_traced.enable_trace();
-    let (mut store_t, placement) = setup(&mut e_traced, lut.clone());
-    let (out_t, cost_t) = {
-        let mut ex = QueryExecutor::new(&mut e_traced, DesignKind::Gmc);
-        ex.execute(&mut store_t, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let mut store_t = setup(&mut e_traced, lut.clone(), true);
+    let (out_t, cost_t) = store_t
+        .query(&mut e_traced, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     let mut e_oracle = engine(MemoryKind::Ddr4, 1.0);
     e_oracle.enable_trace();
-    let (mut store_o, _) = setup(&mut e_oracle, lut.clone());
-    let (out_o, cost_o) = {
-        let mut ex = QueryExecutor::new(&mut e_oracle, DesignKind::Gmc);
-        ex.set_use_plans(false);
-        ex.execute(&mut store_o, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let mut store_o = setup(&mut e_oracle, lut.clone(), false);
+    let (out_o, cost_o) = store_o
+        .query(&mut e_oracle, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     assert_eq!(out_t, out_o, "traced outputs");
     assert_eq!(cost_t, cost_o, "traced cost");
     assert_eq!(e_traced.take_trace(), e_oracle.take_trace(), "traces");
@@ -484,31 +458,24 @@ fn non_replayable_contexts_fall_back_to_full_issuance() {
         e.precharge(probe.bank, probe.subarray).unwrap();
     };
     let mut e_rec = engine(MemoryKind::Ddr4, 40.0);
-    let (mut store_r, placement) = setup(&mut e_rec, lut.clone());
+    let mut store_r = setup(&mut e_rec, lut.clone(), true);
     warm_clock(&mut e_rec);
-    let (out_r, _) = {
-        let mut ex = QueryExecutor::new(&mut e_rec, DesignKind::Gmc);
-        ex.execute(&mut store_r, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let (out_r, _) = store_r
+        .query(&mut e_rec, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     assert_eq!(out_r, lut.apply_all(&inputs).unwrap());
 
     let before = plan::plan_stats();
     let mut e_cold = engine(MemoryKind::Ddr4, 40.0);
-    let (mut store_c, _) = setup(&mut e_cold, lut.clone());
-    let (out_c, cost_c) = {
-        let mut ex = QueryExecutor::new(&mut e_cold, DesignKind::Gmc);
-        ex.execute(&mut store_c, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let mut store_c = setup(&mut e_cold, lut.clone(), true);
+    let (out_c, cost_c) = store_c
+        .query(&mut e_cold, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     let mut e_oracle = engine(MemoryKind::Ddr4, 40.0);
-    let (mut store_o, _) = setup(&mut e_oracle, lut.clone());
-    let (out_o, cost_o) = {
-        let mut ex = QueryExecutor::new(&mut e_oracle, DesignKind::Gmc);
-        ex.set_use_plans(false);
-        ex.execute(&mut store_o, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let mut store_o = setup(&mut e_oracle, lut.clone(), false);
+    let (out_o, cost_o) = store_o
+        .query(&mut e_oracle, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     assert_eq!(out_c, out_o, "mismatch outputs");
     assert_eq!(cost_c, cost_o, "mismatch cost");
     assert_eq!(e_cold.elapsed(), e_oracle.elapsed(), "mismatch clock");
