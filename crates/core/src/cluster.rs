@@ -200,13 +200,6 @@ impl Cluster {
         self.deques.steal_count()
     }
 
-    /// Compiled-plan cache counters ([`crate::plan::plan_stats`]). The
-    /// cache is process-wide, so every pooled worker shares one set of
-    /// recorded plans — a tape recorded on one lane replays on all.
-    pub fn plan_stats(&self) -> crate::plan::PlanStats {
-        crate::plan::plan_stats()
-    }
-
     /// Queues one workload to run whole (a single shard) under `config`.
     /// Returns the job's submission index — [`Cluster::run`] reports in
     /// exactly this order.

@@ -37,9 +37,9 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 /// Locks tolerating poison: a worker that panicked while holding a lane
 /// briefly leaves the deque in a consistent state (`VecDeque` ops don't
 /// tear), so recovering the guard is always safe and keeps the rest of
-/// the pool serving. The process-wide packed-row and plan caches lock
-/// through this too: their critical sections only insert, clear or bump
-/// counters, which leave the maps consistent.
+/// the pool serving. The process-wide packed-row cache and the plan
+/// sets on its entries lock through this too: their critical sections
+/// only insert, clear or bump counters, which leave them consistent.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -26,8 +26,8 @@
 //!   1..N subarrays and queries it under §5.6 (same latency,
 //!   segment-count × energy); a one-subarray LUT is one lane. The
 //!   machine and controller send every LUT through it.
-//! * [`plan`] — compiled query plans (`DESIGN.md` §10): a process-wide
-//!   cache of recorded per-lane cost tapes, so warm lanes apply a
+//! * [`plan`] — compiled query plans (`DESIGN.md` §10): per-lane cost
+//!   tapes kept on the packed-row cache's entries, so warm lanes apply a
 //!   memoized delta instead of re-simulating every command.
 //! * [`salp`] — subarray-level parallelism scaling, tFAW sensitivity.
 //! * [`loading`] — the §8.5 LUT-loading overhead model (Fig. 11).

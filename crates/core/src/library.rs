@@ -18,6 +18,7 @@ use pluto_dram::{
     BankId, CommandStats, DramConfig, Engine, PicoJoules, Picos, RowId, SubarrayId, TimingBackend,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Aggregate cost of the operations a [`PlutoMachine`] has executed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -63,7 +64,9 @@ pub struct PlutoMachine {
     backend: TimingBackend,
     totals: AggregateCost,
     engine: Engine,
-    stores: HashMap<String, PlutoStore>,
+    /// Resident stores by LUT name; same-name variants with different
+    /// tables sit side by side, told apart by [`Lut`] equality.
+    stores: HashMap<Arc<str>, Vec<PlutoStore>>,
     /// Query-path scratch buffers, reused across every `apply` chunk so
     /// operation streams stop reallocating per query. Pure buffers — no
     /// state survives a query, so reuse cannot perturb results.
@@ -171,14 +174,14 @@ impl PlutoMachine {
     /// # Errors
     /// Fails if the subarray pool cannot hold the store.
     pub fn preload(&mut self, lut: &Lut) -> Result<u16, PlutoError> {
-        let key = self.store_for(lut)?;
-        Ok(self.stores[&key].subarrays_claimed())
+        let variant = self.store_for(lut)?;
+        Ok(self.stores[lut.name()][variant].subarrays_claimed())
     }
 
     /// Number of distinct LUT stores currently resident on the machine
-    /// (variant keys for same-name/different-table LUTs count separately).
+    /// (same-name variants with different tables count separately).
     pub fn resident_luts(&self) -> usize {
-        self.stores.len()
+        self.stores.values().map(Vec::len).sum()
     }
 
     /// Restores the machine to its just-constructed state: a pristine
@@ -224,39 +227,29 @@ impl PlutoMachine {
         })
     }
 
-    /// Returns (creating on first use) the persistent [`PlutoStore`] for
-    /// a LUT on the fast path. Stores claim subarray pairs (pLUTo +
+    /// Makes the persistent [`PlutoStore`] for a LUT on the fast path
+    /// resident (loading it on first use) and returns its index among
+    /// the stores of that name. Stores claim subarray pairs (pLUTo +
     /// master) starting at subarray 1 — one pair per §5.6 segment, so
     /// one pair for a LUT that fits a subarray.
     ///
-    /// Cache identity is the *full LUT* — name and shape pick the key,
-    /// but a hit is only served after the stored table compares equal
+    /// Cache identity is the *full LUT* — the name picks the variants,
+    /// and a hit is only served after the stored table compares equal
     /// (same witness rule as the packed-row cache in [`crate::store`]);
     /// a different table reusing a name deterministically claims its own
-    /// variant key and subarrays instead of aliasing.
-    fn store_for(&mut self, lut: &Lut) -> Result<String, PlutoError> {
-        let base = format!("{}#{}x{}", lut.name(), lut.input_bits(), lut.output_bits());
-        let mut key = base.clone();
-        let mut variant = 0usize;
-        loop {
-            match self.stores.get(&key) {
-                Some(existing) if existing.lut() == lut => return Ok(key),
-                Some(_) => {
-                    variant += 1;
-                    key = format!("{base}#v{variant}");
-                }
-                None => break,
-            }
+    /// variant and subarrays instead of aliasing.
+    fn store_for(&mut self, lut: &Lut) -> Result<usize, PlutoError> {
+        let resident = self.stores.get(lut.name());
+        if let Some(at) = resident.and_then(|v| v.iter().position(|s| s.lut() == lut)) {
+            return Ok(at);
         }
-        let store = PlutoStore::load(
-            &mut self.engine,
-            lut.clone(),
-            self.bank,
-            SubarrayId(self.next_pluto),
-        )?;
+        let first = SubarrayId(self.next_pluto);
+        let store = PlutoStore::load(&mut self.engine, lut.clone(), self.bank, first)?;
         self.next_pluto += store.subarrays_claimed();
-        self.stores.insert(key.clone(), store);
-        Ok(key)
+        let name = Arc::clone(lut.name_shared());
+        let variants = self.stores.entry(name).or_default();
+        variants.push(store);
+        Ok(variants.len() - 1)
     }
 
     /// Charges the §6.3 operand-alignment sequence for one merged input
@@ -296,31 +289,26 @@ impl PlutoMachine {
     /// Fails if inputs exceed the LUT's index range or the subarray pool is
     /// exhausted.
     pub fn apply(&mut self, lut: &Lut, inputs: &[u64]) -> Result<MapResult, PlutoError> {
-        let key = self.store_for(lut)?;
+        let variant = self.store_for(lut)?;
         let capacity = slots_per_row(self.cfg.row_bytes, lut.slot_bits());
         let clock0 = self.engine.elapsed();
         let energy0 = self.engine.command_energy();
         let stats0 = self.engine.stats();
         let mut values = Vec::with_capacity(inputs.len());
-        let mut store = self.stores.remove(&key).expect("store cached above");
-        let result: Result<(), PlutoError> = (|| {
-            for chunk in inputs.chunks(capacity.max(1)) {
-                store.query_with(
-                    &mut self.engine,
-                    self.design,
-                    self.data_sa,
-                    self.data_sa,
-                    chunk,
-                    RowId(0),
-                    RowId(1),
-                    &mut self.scratch,
-                )?;
-                values.extend_from_slice(self.scratch.outputs());
-            }
-            Ok(())
-        })();
-        self.stores.insert(key, store);
-        result?;
+        let store = &mut self.stores.get_mut(lut.name()).expect("resident above")[variant];
+        for chunk in inputs.chunks(capacity.max(1)) {
+            store.query_with(
+                &mut self.engine,
+                self.design,
+                self.data_sa,
+                self.data_sa,
+                chunk,
+                RowId(0),
+                RowId(1),
+                &mut self.scratch,
+            )?;
+            values.extend_from_slice(self.scratch.outputs());
+        }
         let time = self.engine.elapsed() - clock0;
         let energy = self.engine.command_energy() - energy0;
         self.totals.calls += 1;

@@ -193,8 +193,8 @@ impl Lut {
         &self.name
     }
 
-    /// The shared name handle (cloning it copies no bytes; plan keys hold
-    /// one per lookup).
+    /// The shared name handle (cloning it copies no bytes; store and
+    /// serve affinity keys hold one).
     pub(crate) fn name_shared(&self) -> &Arc<str> {
         &self.name
     }

@@ -51,7 +51,9 @@
 //!   ([`PlutoStore::query_serial_reference`], locked down by
 //!   `tests/partition_fused.rs`). A warm lane replays its compiled plan
 //!   tape (`crate::plan`) on the same engine clock instead of
-//!   re-issuing; [`PlutoStore::set_use_plans`] turns that off.
+//!   re-issuing; [`PlutoStore::set_use_plans`] turns that off. The tapes
+//!   live on the cached partition with the segment images, so a store
+//!   reloaded after every reset still finds them.
 //!
 //! The store holds no scratch: every buffer a query needs lives in the
 //! caller's [`QueryScratch`], so hundreds of pooled stores cost only
@@ -60,10 +62,22 @@
 use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, unpack_slots_into, Lut};
-use crate::plan::{self, PlanKey};
+use crate::plan::{self, Placement};
 use crate::query::QueryScratch;
-use crate::store::LutStore;
+use crate::store::{LutStore, Partition};
 use pluto_dram::{BankId, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId, SweepStepKind};
+use std::sync::Arc;
+
+/// The §5.6 segment rule: rows per segment and segment count of a
+/// `lut_len`-entry table on `rows_per_subarray`-row subarrays. A sweep
+/// covers a power of two of rows (§6.1), so on a non-power-of-two
+/// geometry only the largest power-of-two row prefix of each subarray
+/// is used.
+pub(crate) fn segment_shape(lut_len: usize, rows_per_subarray: usize) -> (usize, usize) {
+    let max_rows = 1usize << rows_per_subarray.max(1).ilog2();
+    let segment_rows = max_rows.min(lut_len.next_power_of_two());
+    (segment_rows, lut_len.div_ceil(segment_rows))
+}
 
 /// A LUT resident in one or more pLUTo-enabled subarrays: one segment
 /// per subarray it needs (§5.6), each sweeping as a parallel lane.
@@ -71,9 +85,11 @@ use pluto_dram::{BankId, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId, S
 pub struct PlutoStore {
     lut: Lut,
     segments: Vec<LutStore>,
-    segment_rows: usize,
-    /// Whether issued lanes may use the compiled-plan cache
-    /// (`crate::plan`); disabled on differential-oracle stores.
+    /// The cached segment layout the store was loaded from, which also
+    /// holds its lanes' cost tapes.
+    pub(crate) partition: Arc<Partition>,
+    /// Whether issued lanes may use compiled plans (`crate::plan`);
+    /// disabled on differential-oracle stores.
     use_plans: bool,
 }
 
@@ -112,11 +128,7 @@ impl PlutoStore {
     ) -> Result<Self, PlutoError> {
         let rows = engine.config().rows_per_subarray as usize;
         let row_bytes = engine.config().row_bytes;
-        // Segments must be powers of two, so on a non-power-of-two
-        // geometry only the largest power-of-two row prefix is usable per
-        // subarray.
-        let max_rows = 1usize << rows.ilog2();
-        let segment_rows = max_rows.min(lut.len().next_power_of_two());
+        let (segment_rows, _) = segment_shape(lut.len(), rows);
         // One cache lookup + identity check for the whole store: the
         // segment LUTs and images are cut once per cache entry, and each
         // segment's subarrays adopt its image as one handle.
@@ -143,7 +155,7 @@ impl PlutoStore {
         Ok(PlutoStore {
             lut,
             segments,
-            segment_rows,
+            partition,
             use_plans: true,
         })
     }
@@ -166,7 +178,7 @@ impl PlutoStore {
 
     /// Logical LUT rows per segment (the tail segment may own fewer).
     pub fn segment_rows(&self) -> usize {
-        self.segment_rows
+        self.partition.segment_rows
     }
 
     /// The per-segment stores, in segment order.
@@ -179,9 +191,9 @@ impl PlutoStore {
         self.segments[0].bank()
     }
 
-    /// Enables or disables the compiled-plan cache for this store's
-    /// lanes. With plans off every lane runs the full issuing stream —
-    /// the differential oracle for plan replay.
+    /// Enables or disables compiled plans for this store's lanes. With
+    /// plans off every lane runs the full issuing stream — the
+    /// differential oracle for plan replay.
     pub fn set_use_plans(&mut self, on: bool) {
         self.use_plans = on;
     }
@@ -371,10 +383,10 @@ impl PlutoStore {
     /// per-segment executor loop. `out_row` must hold the packed merged
     /// output row.
     ///
-    /// Each lane consults the compiled-plan cache (`crate::plan`): a
-    /// warm lane applies its memoized cost tape and skips issuance; the
-    /// functional effects the tape stands in for — the destination-row
-    /// commit and GSA destruction — are applied directly.
+    /// Each lane consults the compiled plans (`crate::plan`): a warm lane
+    /// applies its slot's tape and skips issuance; the functional effects
+    /// the tape stands in for — the destination-row commit and GSA
+    /// destruction — are applied directly.
     #[allow(clippy::too_many_arguments)]
     fn issue_lanes(
         &mut self,
@@ -389,47 +401,53 @@ impl PlutoStore {
         let bank = src_loc.bank;
         let clock0 = engine.elapsed();
         let mut slowest = clock0;
-        let plans_ok = self.use_plans && !engine.trace_enabled();
+        let tapes = (self.use_plans && !engine.trace_enabled()).then(|| {
+            let placement = Placement {
+                first: self.segments[0].subarray(),
+                dest,
+                dest_is_source: dest == source,
+            };
+            self.partition
+                .plans
+                .lanes(engine, design, placement, self.segments.len())
+        });
+        let mut tally = plan::Tally::default();
         let mut any_replayed = false;
-        for store in self.segments.iter_mut() {
+        for (k, store) in self.segments.iter_mut().enumerate() {
             engine.rewind_clock(clock0);
             // A stale BSA/GMC segment needs the *functional* reload only
             // the issuing path performs.
-            let legal = plans_ok && (design.reload_per_query() || store.is_loaded());
-            let mut record: Option<PlanKey> = None;
-            if legal {
-                let key = PlanKey::new(
-                    engine,
-                    design,
-                    store,
-                    store.subarray().0.abs_diff(dest.0),
-                    dest == source,
-                );
-                match plan::lookup(&key) {
-                    Some(tape) if tape.replayable_from(engine) => {
-                        engine.apply_replayed(&tape);
-                        // The sweep the tape stands in for destroyed the
-                        // segment (zero-cost functional effect).
-                        if design.destructive_reads() {
-                            store.mark_destroyed(engine)?;
-                        }
-                        any_replayed = true;
-                        slowest = slowest.max(engine.elapsed());
-                        continue;
+            let legal = design.reload_per_query() || store.is_loaded();
+            let slot = (tapes.as_ref())
+                .filter(|_| legal)
+                .map(|t| t.slot(k, store.is_loaded()));
+            let mut record = None;
+            match slot.map(|s| (s, s.get())) {
+                Some((_, Some(tape))) if tape.replayable_from(engine) => {
+                    tally.hits += 1;
+                    engine.apply_replayed(tape);
+                    // The sweep the tape stands in for destroyed the
+                    // segment (zero-cost functional effect).
+                    if design.destructive_reads() {
+                        store.mark_destroyed(engine)?;
                     }
-                    Some(_) => {
-                        // Captured from a different tFAW phase (e.g. a
-                        // hop-distance key collision between two lane
-                        // positions) — issue in full.
-                        plan::note_fallback();
-                    }
-                    None => {
-                        engine.begin_tape();
-                        record = Some(key);
-                    }
+                    any_replayed = true;
+                    slowest = slowest.max(engine.elapsed());
+                    continue;
                 }
-            } else if self.use_plans {
-                plan::note_fallback();
+                // Recorded from a different timing state (a warm tFAW
+                // window or rows left open by an earlier query): issue in
+                // full.
+                Some((_, Some(_))) => {
+                    tally.hits += 1;
+                    tally.fallbacks += 1;
+                }
+                Some((slot, None)) => {
+                    tally.misses += 1;
+                    engine.begin_tape();
+                    record = Some(slot);
+                }
+                None => tally.fallbacks += u64::from(self.use_plans),
             }
             if let Err(e) = issue_lane(
                 engine, design, store, source, dest, src_loc, dst_row, out_row,
@@ -437,10 +455,8 @@ impl PlutoStore {
                 engine.abort_tape();
                 return Err(e);
             }
-            if let Some(key) = record {
-                if let Some(tape) = engine.end_tape() {
-                    plan::insert(key, tape);
-                }
+            if let (Some(slot), Some(tape)) = (record, engine.end_tape()) {
+                plan::record(slot, tape);
             }
             slowest = slowest.max(engine.elapsed());
         }
@@ -501,7 +517,7 @@ impl PlutoStore {
         let mut slowest = clock0;
         for (k, store) in self.segments.iter_mut().enumerate() {
             engine.rewind_clock(clock0);
-            let base = (k * self.segment_rows) as u64;
+            let base = (k * self.partition.segment_rows) as u64;
             let span = store.lut().len() as u64;
             // Inputs rebased into this segment; out-of-segment slots query
             // index 0 (their captured values are discarded on merge).
@@ -975,7 +991,6 @@ mod tests {
     /// test, so no concurrent test shares the cache entry.
     #[test]
     fn cached_partitioned_load_clones_no_row_handles() {
-        use std::sync::Arc;
         let cfg = DramConfig {
             row_bytes: 40,
             burst_bytes: 8,
@@ -993,8 +1008,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(first.segment_count(), 128);
-        let partition = crate::store::packed_partition(&lut, cfg.row_bytes, 512).unwrap();
-        let probe = Arc::clone(partition.segments[77].1.rows()[300].as_ref().unwrap());
+        let probe = Arc::clone(first.partition.segments[77].1.rows()[300].as_ref().unwrap());
         let before = Arc::strong_count(&probe);
         let mut e = Engine::new(cfg);
         let part = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();

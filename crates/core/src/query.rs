@@ -35,7 +35,7 @@
 //! Production queries do not come through here: every LUT — one
 //! subarray or many — is a [`crate::partition::PlutoStore`], whose
 //! one-segment case is one lane. [`QueryExecutor`] always issues the
-//! full command stream and never consults the plan cache. It is the
+//! full command stream and never consults a compiled plan. It is the
 //! plans-off reference that lane path is checked against
 //! ([`crate::partition::PlutoStore::query_serial_reference`] runs one
 //! executor query per segment), the per-phase [`QueryCost`] breakdown the

@@ -77,6 +77,7 @@
 use crate::cluster::{default_workers, panic_message, Cluster};
 use crate::error::PlutoError;
 use crate::lut::Lut;
+use crate::partition::segment_shape;
 use crate::session::{encode_words, ConfigKey, CostReport, ExecConfig, Session, Workload};
 use sim_support::StdRng;
 use std::collections::HashMap;
@@ -264,12 +265,9 @@ struct ServeEntry {
 /// effective configuration and LUT, so the executing worker runs the
 /// whole batch on one pooled session.
 pub(crate) struct ServeBatch {
-    /// Effective configuration: the submitted one with its subarray
-    /// floor already raised to the LUT's demand, so pooling keys match
-    /// what [`Session::run`] sizes the machine to.
+    /// The effective configuration (`effective_config`).
     config: ExecConfig,
     lut: Arc<Lut>,
-    min_subarrays: u16,
     entries: Vec<ServeEntry>,
     /// Accounting guard; dropping the batch (normally, on panic, or
     /// discarded by shutdown) releases its queries from `drain`.
@@ -281,7 +279,8 @@ pub(crate) struct ServeBatch {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct AffinityKey {
     config: ConfigKey,
-    lut_name: String,
+    /// The LUT's own shared name, so keying a query allocates nothing.
+    lut_name: Arc<str>,
     lut_input_bits: u32,
     lut_output_bits: u32,
     lut_len: usize,
@@ -291,7 +290,7 @@ impl AffinityKey {
     fn of(effective: &ExecConfig, lut: &Lut) -> Self {
         AffinityKey {
             config: ConfigKey::of(effective),
-            lut_name: lut.name().to_string(),
+            lut_name: Arc::clone(lut.name_shared()),
             lut_input_bits: lut.input_bits(),
             lut_output_bits: lut.output_bits(),
             lut_len: lut.len(),
@@ -307,7 +306,6 @@ struct PendingBatch {
     lane: usize,
     config: ExecConfig,
     lut: Arc<Lut>,
-    min_subarrays: u16,
     entries: Vec<ServeEntry>,
 }
 
@@ -379,14 +377,6 @@ impl Server {
         self.outstanding.current()
     }
 
-    /// Compiled-plan cache counters ([`crate::plan::plan_stats`]). The
-    /// cache is process-wide, so under steady mixed traffic the workers'
-    /// repeat queries show up here as hits regardless of which lane ran
-    /// them.
-    pub fn plan_stats(&self) -> crate::plan::PlanStats {
-        crate::plan::plan_stats()
-    }
-
     /// Ingestion/batching telemetry so far.
     pub fn stats(&self) -> ServeStats {
         self.stats
@@ -412,9 +402,10 @@ impl Server {
         self.outstanding.add(1);
         let (reply, rx) = mpsc::channel();
 
-        let min_subarrays = min_subarrays_for(&lut, config.rows_per_subarray);
-        let mut effective = config;
-        effective.subarrays_per_bank = effective.subarrays_per_bank.max(min_subarrays);
+        let mut effective = effective_config(config, &lut);
+        // A query generates nothing from the seed, so it must not split
+        // affinities or worker pools.
+        effective.seed = 0;
         let key = AffinityKey::of(&effective, &lut);
 
         // Home lane: first appearance of an affinity claims the next
@@ -438,7 +429,6 @@ impl Server {
                 lane,
                 config: effective,
                 lut,
-                min_subarrays,
                 entries: vec![entry],
             }),
         }
@@ -470,7 +460,6 @@ impl Server {
             lane,
             config,
             lut,
-            min_subarrays,
             entries,
             ..
         } = batch;
@@ -485,7 +474,6 @@ impl Server {
             ServeBatch {
                 config,
                 lut,
-                min_subarrays,
                 entries,
                 done,
             },
@@ -513,14 +501,22 @@ impl Drop for Server {
     }
 }
 
+/// `config` with its subarray floor raised to what a query against
+/// `lut` needs, in the serve path and its oracle alike, so pooling keys
+/// match what [`Session::run`] sizes the machine to.
+fn effective_config(mut config: ExecConfig, lut: &Lut) -> ExecConfig {
+    let floor = min_subarrays_for(lut, config.rows_per_subarray);
+    config.subarrays_per_bank = config.subarrays_per_bank.max(floor);
+    config
+}
+
 /// Minimum subarrays-per-bank a standalone query against `lut` needs:
-/// room for the §5.6 partitioned store's segment pairs (2 per segment)
-/// plus the controller's fixed rails, floored at the measurement
+/// the §5.6 store's segment pairs (2 per segment, by its own segment
+/// rule) plus the controller's fixed rails, floored at the measurement
 /// geometry's 16 (mirrors the direct-LUT workloads' demands: 20 for the
 /// 4096-entry Gamma12, 260 for the 65 536-entry MulDirect8).
 fn min_subarrays_for(lut: &Lut, rows_per_subarray: u16) -> u16 {
-    let rows = (rows_per_subarray as usize).max(1);
-    let segments = lut.len().div_ceil(rows);
+    let (_, segments) = segment_shape(lut.len(), rows_per_subarray as usize);
     let demand = 2 * segments + 4;
     u16::try_from(demand).unwrap_or(u16::MAX).max(16)
 }
@@ -532,7 +528,6 @@ fn min_subarrays_for(lut: &Lut, rows_per_subarray: u16) -> u16 {
 struct QueryWorkload {
     lut: Arc<Lut>,
     inputs: Vec<u64>,
-    min_subarrays: u16,
     /// Output words captured during `run_pluto` for the reply.
     out: Vec<u64>,
 }
@@ -572,10 +567,6 @@ impl Workload for QueryWorkload {
     fn input_bytes(&self) -> f64 {
         self.inputs.len() as f64 * f64::from(self.lut.input_bits()) / 8.0
     }
-
-    fn min_subarrays(&self) -> u16 {
-        self.min_subarrays
-    }
 }
 
 /// Runs one query exactly as a worker would, but serially on a fresh
@@ -587,11 +578,10 @@ impl Workload for QueryWorkload {
 /// Whatever the query itself fails with (construction, layout, index
 /// range).
 pub fn serial_oracle(spec: &QuerySpec) -> Result<(Vec<u64>, CostReport), PlutoError> {
-    let mut session = Session::with_config(spec.config.clone())?;
+    let mut session = Session::with_config(effective_config(spec.config.clone(), &spec.lut))?;
     let mut workload = QueryWorkload {
         lut: Arc::clone(&spec.lut),
         inputs: spec.inputs.clone(),
-        min_subarrays: min_subarrays_for(&spec.lut, spec.config.rows_per_subarray),
         out: Vec::new(),
     };
     let report = session.run(&mut workload)?;
@@ -607,7 +597,6 @@ pub(crate) fn execute_batch(pool: &mut HashMap<ConfigKey, Session>, batch: Serve
     let ServeBatch {
         config,
         lut,
-        min_subarrays,
         entries,
         done,
     } = batch;
@@ -617,7 +606,6 @@ pub(crate) fn execute_batch(pool: &mut HashMap<ConfigKey, Session>, batch: Serve
     let mut workload = QueryWorkload {
         lut,
         inputs: Vec::new(),
-        min_subarrays,
         out: Vec::new(),
     };
     for entry in entries {

@@ -687,13 +687,6 @@ impl Session {
     pub fn energy_joules(&self, report: &CostReport, volume_bytes: f64) -> f64 {
         report.scaled_energy(volume_bytes)
     }
-
-    /// Compiled-plan cache counters ([`crate::plan::plan_stats`]) —
-    /// process-wide and monotonic, surfaced here so session-level tools
-    /// can report warm-plan hit rates next to their cost reports.
-    pub fn plan_stats(&self) -> crate::plan::PlanStats {
-        crate::plan::plan_stats()
-    }
 }
 
 /// Canonical little-endian serialization of a word vector, for

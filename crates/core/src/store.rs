@@ -9,18 +9,20 @@
 //! before every query at a cost of `LISA_RBM × N` (Table 1).
 //!
 //! Loading is a zero-cost backdoor served by a process-wide packed-row
-//! cache. Each entry holds one LUT's packed *image*, a shared row table
-//! ([`pluto_dram::RowImage`]), and, per segment length, the padded
-//! segment LUTs and images of its §5.6 partition (`crate::partition`).
-//! A load onto a fresh engine adopts one image handle per subarray, and
-//! dropping the engine releases one per subarray, so the reset + reload a
-//! pooled machine pays before every served query costs O(segments), not
-//! O(rows).
+//! cache, the crate's one LUT cache. Each entry holds one LUT's packed
+//! *image*, a shared row table ([`pluto_dram::RowImage`]), and, per
+//! segment length, the padded segment LUTs and images of its §5.6
+//! partition (`crate::partition`) together with the lane cost tapes
+//! recorded against that partition (`crate::plan`). A load onto a fresh
+//! engine adopts one image handle per subarray, and dropping the engine
+//! releases one per subarray, so the reset + reload a pooled machine pays
+//! before every served query costs O(segments), not O(rows).
 
 use crate::deque::lock_recover;
 use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, Lut};
+use crate::plan::PlanSets;
 use pluto_dram::{BankId, Engine, RowId, RowImage, RowLoc, SubarrayId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -58,19 +60,23 @@ struct PackedEntry {
     /// Row `i` holds element `i` replicated across every slot.
     image: RowImage,
     /// The §5.6 segment layouts cut from `image`, one per segment length,
-    /// each built on the first partitioned load at that length. They live
-    /// and die with the entry, under its witness and the cache's cap.
+    /// each built on the first partitioned load at that length. They and
+    /// their lane tapes live and die with the entry, under its witness
+    /// and the cache's cap.
     partitions: Mutex<Vec<Arc<Partition>>>,
 }
 
 /// A LUT's §5.6 segment layout at one segment length
 /// (`crate::partition`): per segment, the padded segment [`Lut`] and the
-/// image its pLUTo and master subarrays adopt.
+/// image its pLUTo and master subarrays adopt, plus the cost tapes its
+/// query lanes have recorded.
 #[derive(Debug)]
 pub(crate) struct Partition {
-    segment_rows: usize,
+    pub(crate) segment_rows: usize,
     /// `(segment LUT, segment image)` in segment order.
     pub(crate) segments: Vec<(Lut, RowImage)>,
+    /// Lane cost tapes, by engine context, design and placement.
+    pub(crate) plans: PlanSets,
 }
 
 impl Partition {
@@ -105,6 +111,7 @@ impl Partition {
         Ok(Partition {
             segment_rows,
             segments,
+            plans: PlanSets::default(),
         })
     }
 }
@@ -183,19 +190,8 @@ fn packed_entry(lut: &Lut, row_bytes: usize) -> Arc<PackedEntry> {
     entry
 }
 
-/// The cached image of `lut` on a `row_bytes` geometry: what a
-/// single-subarray store's pLUTo and master subarrays adopt.
-///
-/// Purely a *load-time* optimization: the image enters the engine as a
-/// copy-on-write table ([`Engine::poke_rows_shared`]), so later in-DRAM
-/// mutation (GSA destruction, row writes) copies the table and replaces
-/// row handles on the DRAM side and can never leak back into the cache.
-pub(crate) fn packed_image(lut: &Lut, row_bytes: usize) -> RowImage {
-    packed_entry(lut, row_bytes).image.clone()
-}
-
 /// The cached §5.6 layout of `lut` at `segment_rows` rows per segment,
-/// cut from the same entry as [`packed_image`]: an N-segment load is one
+/// cut from the same entry as a whole-table image: an N-segment load is one
 /// cache lookup and one identity check, and every load after the first
 /// reuses the segment `Lut`s and images.
 ///
@@ -277,7 +273,9 @@ impl LutStore {
     /// The packed image comes from the process-wide cache: repeated loads
     /// of the same LUT (pooled machines after a reset, GSA streams) skip
     /// the packing, and each empty subarray adopts the image as one
-    /// copy-on-write handle, so the load costs O(1) per subarray.
+    /// copy-on-write handle ([`Engine::poke_rows_shared`]), so the load
+    /// costs O(1) per subarray and in-DRAM mutation (GSA destruction, row
+    /// writes) replaces row handles on the DRAM side, never in the cache.
     ///
     /// # Errors
     /// Fails if the LUT has more elements than the subarray has rows, the
@@ -291,8 +289,16 @@ impl LutStore {
         master_row_base: u16,
     ) -> Result<Self, PlutoError> {
         check_placement(engine, lut.len(), subarray, master, master_row_base)?;
-        let image = packed_image(&lut, engine.config().row_bytes);
-        LutStore::load_image(engine, lut, bank, subarray, master, master_row_base, &image)
+        let entry = packed_entry(&lut, engine.config().row_bytes);
+        LutStore::load_image(
+            engine,
+            lut,
+            bank,
+            subarray,
+            master,
+            master_row_base,
+            &entry.image,
+        )
     }
 
     /// Materializes a LUT whose image the caller already holds — the

@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 /// Command-level DRAM simulator with functional, timing, and energy models.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    cfg: DramConfig,
+    context: CostContext,
     timing: TimingParams,
     energy_model: EnergyModel,
     array: MemoryArray,
@@ -40,9 +40,6 @@ pub struct Engine {
     /// Issue timestamps of the last four activations (tFAW window, per rank;
     /// the paper's configurations are single-rank).
     act_window: VecDeque<Picos>,
-    /// Which timing backend resolves activation issue times (see
-    /// `DESIGN.md` §11). [`TimingBackend::Analytic`] by default.
-    backend: TimingBackend,
     /// Row-buffer and command-queue tracking state, maintained
     /// identically under both backends.
     rank: RankState,
@@ -53,6 +50,23 @@ pub struct Engine {
     recorder: Option<TapeRecorder>,
 }
 
+/// Everything outside a command stream that can shift its cost delta:
+/// the geometry, the timing and energy parameters as raw bits (so a
+/// scaled tFAW or a non-default energy model never compares equal to the
+/// defaults) and the timing backend. Fixed when the [`Engine`] is built,
+/// so a cost-tape cache compares it once per query (`DESIGN.md` §10).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CostContext {
+    cfg: DramConfig,
+    /// The eight `Picos` parameters plus the applied tFAW scale's bits.
+    timing: [u64; 9],
+    /// The seven energy-model parameters' `f64` bits.
+    energy: [u64; 7],
+    /// Which timing backend resolves activation issue times (see
+    /// `DESIGN.md` §11). [`TimingBackend::Analytic`] by default.
+    backend: TimingBackend,
+}
+
 impl Engine {
     /// Creates an engine with the timing/energy models matching `cfg`.
     pub fn new(cfg: DramConfig) -> Self {
@@ -60,21 +74,8 @@ impl Engine {
             crate::geometry::MemoryKind::Ddr4 => TimingParams::ddr4_2400(),
             crate::geometry::MemoryKind::Stacked3d => TimingParams::hmc_3ds(),
         };
-        let energy_model = EnergyModel::for_config(&cfg);
-        Engine {
-            array: MemoryArray::new(cfg.clone()),
-            cfg,
-            timing,
-            energy_model,
-            clock: Picos::ZERO,
-            command_energy: PicoJoules::ZERO,
-            stats: CommandStats::new(),
-            act_window: VecDeque::with_capacity(4),
-            backend: TimingBackend::default(),
-            rank: RankState::default(),
-            trace: None,
-            recorder: None,
-        }
+        let energy = EnergyModel::for_config(&cfg);
+        Engine::with_models(cfg, timing, energy)
     }
 
     /// Creates an engine with explicit timing/energy models (e.g. a scaled
@@ -82,14 +83,36 @@ impl Engine {
     pub fn with_models(cfg: DramConfig, timing: TimingParams, energy: EnergyModel) -> Self {
         Engine {
             array: MemoryArray::new(cfg.clone()),
-            cfg,
+            context: CostContext {
+                cfg,
+                timing: [
+                    timing.t_rcd.as_ps(),
+                    timing.t_rp.as_ps(),
+                    timing.t_ras.as_ps(),
+                    timing.t_faw.as_ps(),
+                    timing.t_cl.as_ps(),
+                    timing.t_ccd.as_ps(),
+                    timing.t_burst.as_ps(),
+                    timing.t_lisa_hop.as_ps(),
+                    timing.t_faw_scale_applied.to_bits(),
+                ],
+                energy: [
+                    energy.e_act.as_pj().to_bits(),
+                    energy.e_pre.as_pj().to_bits(),
+                    energy.e_rd_burst.as_pj().to_bits(),
+                    energy.e_wr_burst.as_pj().to_bits(),
+                    energy.e_lisa_hop.as_pj().to_bits(),
+                    energy.e_charge_share.as_pj().to_bits(),
+                    energy.background_watts.to_bits(),
+                ],
+                backend: TimingBackend::default(),
+            },
             timing,
             energy_model: energy,
             clock: Picos::ZERO,
             command_energy: PicoJoules::ZERO,
             stats: CommandStats::new(),
             act_window: VecDeque::with_capacity(4),
-            backend: TimingBackend::default(),
             rank: RankState::default(),
             trace: None,
             recorder: None,
@@ -105,13 +128,18 @@ impl Engine {
             self.clock == Picos::ZERO && self.stats == CommandStats::new(),
             "select the timing backend before issuing commands"
         );
-        self.backend = backend;
+        self.context.backend = backend;
         self
     }
 
     /// The timing backend resolving this engine's activation issue times.
     pub fn timing_backend(&self) -> TimingBackend {
-        self.backend
+        self.context.backend
+    }
+
+    /// What this engine's cost tapes depend on besides their commands.
+    pub fn cost_context(&self) -> &CostContext {
+        &self.context
     }
 
     /// Enables command tracing. Traced commands are retrievable with
@@ -133,7 +161,7 @@ impl Engine {
 
     /// The geometry this engine simulates.
     pub fn config(&self) -> &DramConfig {
-        &self.cfg
+        &self.context.cfg
     }
 
     /// The timing parameters in force.
@@ -303,8 +331,13 @@ impl Engine {
             Some(SweepStepKind::FullCycle) => (ActClass::Miss, None),
         };
         let queue_gate = self.rank.queue_gate(self.timing.t_ras);
-        let issue =
-            model_for(self.backend).act_issue(at, class, conflict_open, queue_gate, &self.timing);
+        let issue = model_for(self.context.backend).act_issue(
+            at,
+            class,
+            conflict_open,
+            queue_gate,
+            &self.timing,
+        );
         match class {
             ActClass::Hit => self.stats.row_hits += 1,
             ActClass::Miss => self.stats.row_misses += 1,
@@ -384,7 +417,7 @@ impl Engine {
             subarray,
             row: RowId(0),
         };
-        if !self.cfg.contains(probe) {
+        if !self.context.cfg.contains(probe) {
             return Err(DramError::OutOfBounds { loc: probe });
         }
         self.array.precharge(bank, subarray);
@@ -413,7 +446,7 @@ impl Engine {
     /// Fails on out-of-bounds locations or an already-open row.
     pub fn read_row(&mut self, loc: RowLoc) -> Result<Vec<u8>, DramError> {
         self.activate(loc)?;
-        let bursts = self.cfg.bursts_per_row();
+        let bursts = self.context.cfg.bursts_per_row();
         let data = self
             .array
             .buffer(loc.bank, loc.subarray)
@@ -438,15 +471,15 @@ impl Engine {
     /// Fails on out-of-bounds locations, an already-open row, or mismatched
     /// data length.
     pub fn write_row(&mut self, loc: RowLoc, data: &[u8]) -> Result<(), DramError> {
-        if data.len() != self.cfg.row_bytes {
+        if data.len() != self.context.cfg.row_bytes {
             return Err(DramError::RowSizeMismatch {
-                expected: self.cfg.row_bytes,
+                expected: self.context.cfg.row_bytes,
                 actual: data.len(),
             });
         }
         self.activate(loc)?;
         self.array.write_buffer(loc.bank, loc.subarray, 0, data)?;
-        let bursts = self.cfg.bursts_per_row();
+        let bursts = self.context.cfg.bursts_per_row();
         self.spend(
             self.timing.row_readout(bursts),
             self.energy_model.e_wr_burst.times(bursts as u64),
@@ -533,10 +566,10 @@ impl Engine {
             subarray: src.subarray,
             row: dst_row,
         };
-        if !self.cfg.contains(src) {
+        if !self.context.cfg.contains(src) {
             return Err(DramError::OutOfBounds { loc: src });
         }
-        if !self.cfg.contains(dst) {
+        if !self.context.cfg.contains(dst) {
             return Err(DramError::OutOfBounds { loc: dst });
         }
         self.array.activate(src, false)?;
@@ -570,10 +603,10 @@ impl Engine {
             subarray: src.subarray,
             row: dst_row,
         };
-        if !self.cfg.contains(src) {
+        if !self.context.cfg.contains(src) {
             return Err(DramError::OutOfBounds { loc: src });
         }
-        if !self.cfg.contains(dst) {
+        if !self.context.cfg.contains(dst) {
             return Err(DramError::OutOfBounds { loc: dst });
         }
         let negated: Vec<u8> = self.array.row(src)?.iter().map(|b| !b).collect();
@@ -634,12 +667,12 @@ impl Engine {
             subarray,
             row: RowId(0),
         };
-        if !self.cfg.contains(probe) {
+        if !self.context.cfg.contains(probe) {
             return Err(DramError::OutOfBounds { loc: probe });
         }
-        if data.len() != self.cfg.row_bytes {
+        if data.len() != self.context.cfg.row_bytes {
             return Err(DramError::RowSizeMismatch {
-                expected: self.cfg.row_bytes,
+                expected: self.context.cfg.row_bytes,
                 actual: data.len(),
             });
         }
@@ -668,7 +701,7 @@ impl Engine {
             subarray: to,
             row: dst_row,
         };
-        if !self.cfg.contains(dst) {
+        if !self.context.cfg.contains(dst) {
             return Err(DramError::OutOfBounds { loc: dst });
         }
         self.array.lisa_rbm(bank, from, to)?;
@@ -727,7 +760,7 @@ impl Engine {
     /// # Errors
     /// Fails on out-of-bounds locations.
     pub fn shift_row(&mut self, loc: RowLoc, left: bool, amount: u32) -> Result<(), DramError> {
-        if !self.cfg.contains(loc) {
+        if !self.context.cfg.contains(loc) {
             return Err(DramError::OutOfBounds { loc });
         }
         let byte_steps = (amount / 8) as u64;
@@ -768,7 +801,7 @@ impl Engine {
     /// # Errors
     /// Fails on out-of-bounds locations.
     pub fn sweep_step(&mut self, loc: RowLoc, kind: SweepStepKind) -> Result<(), DramError> {
-        if !self.cfg.contains(loc) {
+        if !self.context.cfg.contains(loc) {
             return Err(DramError::OutOfBounds { loc });
         }
         self.array.activate(loc, true)?;
@@ -824,7 +857,7 @@ impl Engine {
             subarray,
             row: first,
         };
-        if !self.cfg.contains(first_loc) {
+        if !self.context.cfg.contains(first_loc) {
             return Err(DramError::OutOfBounds { loc: first_loc });
         }
         let last = first.0 as usize + count - 1;
@@ -836,7 +869,7 @@ impl Engine {
             subarray,
             row: RowId(last as u16),
         };
-        if !self.cfg.contains(last_loc) {
+        if !self.context.cfg.contains(last_loc) {
             return Err(DramError::OutOfBounds { loc: last_loc });
         }
         self.array.activate(last_loc, true)?;
@@ -973,7 +1006,7 @@ impl Engine {
                 row: first,
             };
             let last = first.0 as usize + count - 1;
-            if !self.cfg.contains(first_loc) || last > u16::MAX as usize {
+            if !self.context.cfg.contains(first_loc) || last > u16::MAX as usize {
                 return Err(DramError::OutOfBounds { loc: first_loc });
             }
             let last_loc = RowLoc {
@@ -981,7 +1014,7 @@ impl Engine {
                 subarray: sa,
                 row: RowId(last as u16),
             };
-            if !self.cfg.contains(last_loc) {
+            if !self.context.cfg.contains(last_loc) {
                 return Err(DramError::OutOfBounds { loc: last_loc });
             }
         }
@@ -1117,7 +1150,7 @@ impl Engine {
             queue_tail: rec.queue_tail,
             end_bank_open,
             end_share_open,
-            backend: self.backend,
+            backend: self.context.backend,
         })
     }
 
@@ -1226,9 +1259,9 @@ struct TapeRecorder {
 /// [`Engine::apply_replayed`], in O(ops + binade crossings): each
 /// run of identical spends is one u64 multiply for the clock and one
 /// closed-form f64 accumulation ([`PicoJoules::add_repeated`]) for the
-/// energy. The plan-cache layer in `pluto-core` keys
-/// tapes by everything that can shift the delta (config, design, LUT
-/// geometry, residency); see `DESIGN.md` §10.
+/// energy. `pluto-core` keeps one tape per query lane on the LUT's
+/// packed-row cache entry, filed under the recording engine's
+/// [`CostContext`], the design and the placement; see `DESIGN.md` §10.
 #[derive(Debug, Clone)]
 pub struct CostTape {
     ops: Vec<TapeOp>,
@@ -1268,7 +1301,7 @@ impl CostTape {
     /// Allocation-free; callers fall back to full issuance when this is
     /// false.
     pub fn replayable_from(&self, engine: &Engine) -> bool {
-        self.backend == engine.backend && engine.timing_signature_matches(&self.entry_sig)
+        self.backend == engine.context.backend && engine.timing_signature_matches(&self.entry_sig)
     }
 }
 

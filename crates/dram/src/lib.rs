@@ -70,7 +70,7 @@ pub use array::{set_word_at_bit, word_at_bit, MemoryArray, RowBuffer, RowImage, 
 pub use banked::BankedTiming;
 pub use command::{Command, SweepStepKind};
 pub use energy::EnergyModel;
-pub use engine::{CostTape, Engine};
+pub use engine::{CostContext, CostTape, Engine};
 pub use error::DramError;
 pub use geometry::{BankId, DramConfig, MemoryKind, RowId, RowLoc, SubarrayId};
 pub use schedule::{Lane, LaneStep, ParallelScheduler, StepKind};

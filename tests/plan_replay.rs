@@ -1,13 +1,14 @@
-//! Differential suite for the compiled query-plan cache (`DESIGN.md`
-//! §10): warm-plan replay must be indistinguishable from the full
+//! Differential suite for compiled query plans (`DESIGN.md` §10):
+//! warm-plan replay must be indistinguishable from the full
 //! issuing path at every observable level — output words, the
 //! `PartitionedCost`, engine clock, energy (compared on raw `f64` bits),
 //! command counters, and committed DRAM rows — across all three designs
 //! × both memory kinds × varied tFAW scales × interleaved LUTs, cold and
 //! warm, including GSA's reload-per-query stores, one-segment stores
 //! (a LUT that fits one subarray is one lane) and 128-segment
-//! partitioned queries. The oracle is the same `PlutoStore` with plans
-//! off. Non-replayable contexts (command tracing, a tFAW-window
+//! partitioned queries, and engines of different cost contexts whose
+//! stores share one packed-row cache entry. The oracle is the same
+//! `PlutoStore` with plans off. Non-replayable contexts (command tracing, a tFAW-window
 //! signature mismatch) must fall back to full issuance, not replay a
 //! wrong tape.
 
@@ -17,7 +18,7 @@ use pluto_repro::core::plan;
 use pluto_repro::core::DesignKind;
 use pluto_repro::dram::{
     BankId, DramConfig, EnergyModel, Engine, MemoryKind, PicoJoules, Picos, RowId, RowLoc,
-    SubarrayId, SweepStepKind, TimingParams,
+    SubarrayId, SweepStepKind, TimingBackend, TimingParams,
 };
 use sim_support::prop::{self, Gen};
 use sim_support::prop_assert_eq;
@@ -344,6 +345,127 @@ fn partitioned_lanes_replay_bit_identically_under_non_integer_energies() {
                 "energy {label}"
             );
             assert_eq!(e_plan.stats(), e_oracle.stats(), "stats {label}");
+        }
+    }
+}
+
+/// Engines that differ in exactly one cost input — tFAW scale, energy
+/// model, timing backend or design — query one LUT whose one-segment and
+/// 8-segment stores share one packed-row cache entry, and so one home for
+/// their lane tapes. Alternating queries must each replay only tapes
+/// recorded under their own context: every engine stays bit-identical to
+/// its plans-off twin, and every warm query finds one tape per segment.
+#[test]
+fn engine_contexts_sharing_one_cache_entry_replay_their_own_tapes() {
+    let lut = Lut::from_fn("plan-shared-entry", 9, 12, |x| (x * 37 + 5) & 0xfff).unwrap();
+    let inputs: Vec<u64> = (0..8).map(|i| i * 61 % 512).collect();
+    let odd_energy = EnergyModel {
+        e_act: PicoJoules::from_pj(0.3),
+        e_charge_share: PicoJoules::from_pj(2.7),
+        ..EnergyModel::ddr4()
+    };
+    let base = (
+        DesignKind::Gmc,
+        1.0,
+        EnergyModel::ddr4(),
+        TimingBackend::Analytic,
+    );
+    let variants = [
+        (
+            "tFAW",
+            (
+                DesignKind::Gmc,
+                8.0,
+                EnergyModel::ddr4(),
+                TimingBackend::Analytic,
+            ),
+        ),
+        (
+            "energy",
+            (DesignKind::Gmc, 1.0, odd_energy, TimingBackend::Analytic),
+        ),
+        (
+            "backend",
+            (
+                DesignKind::Gmc,
+                1.0,
+                EnergyModel::ddr4(),
+                TimingBackend::Banked,
+            ),
+        ),
+        (
+            "design",
+            (
+                DesignKind::Gsa,
+                1.0,
+                EnergyModel::ddr4(),
+                TimingBackend::Analytic,
+            ),
+        ),
+    ];
+    // 512 rows per subarray hold the table whole; 64 rows cut it in 8.
+    for (rows, segments) in [(512u16, 1usize), (64, 8)] {
+        let cfg = DramConfig {
+            row_bytes: 32,
+            burst_bytes: 8,
+            banks: 1,
+            subarrays_per_bank: 24,
+            rows_per_subarray: rows,
+            ..DramConfig::ddr4_2400()
+        };
+        for (what, variant) in &variants {
+            let mut pairs = [&base, variant].map(|(design, scale, energy, backend)| {
+                let fresh = || {
+                    let timing = TimingParams::ddr4_2400().with_t_faw_scale(*scale);
+                    Engine::with_models(cfg.clone(), timing, energy.clone())
+                        .with_timing_backend(*backend)
+                };
+                let (mut e_plan, mut e_oracle) = (fresh(), fresh());
+                let p_plan =
+                    PlutoStore::load(&mut e_plan, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+                let mut p_oracle =
+                    PlutoStore::load(&mut e_oracle, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+                p_oracle.set_use_plans(false);
+                assert_eq!(p_plan.segment_count(), segments);
+                (*design, e_plan, p_plan, e_oracle, p_oracle)
+            });
+            for round in 0..3 {
+                for (who, (design, e_plan, p_plan, e_oracle, p_oracle)) in
+                    ["base", what].into_iter().zip(pairs.iter_mut())
+                {
+                    let before = plan::plan_stats();
+                    let (out_p, cost_p) = p_plan
+                        .query(e_plan, *design, SRC, DST, &inputs, RowId(0), RowId(1))
+                        .unwrap();
+                    let hits = plan::plan_stats().hits - before.hits;
+                    let (out_o, cost_o) = p_oracle
+                        .query(e_oracle, *design, SRC, DST, &inputs, RowId(0), RowId(1))
+                        .unwrap();
+                    let label = format!("{segments} seg, {what} pair, {who}#{round}");
+                    assert_eq!(out_p, out_o, "outputs {label}");
+                    assert_eq!(out_p, lut.apply_all(&inputs).unwrap(), "semantics {label}");
+                    assert_eq!(cost_p, cost_o, "cost {label}");
+                    assert_eq!(e_plan.elapsed(), e_oracle.elapsed(), "clock {label}");
+                    assert_eq!(
+                        e_plan.command_energy().as_pj().to_bits(),
+                        e_oracle.command_energy().as_pj().to_bits(),
+                        "energy {label}"
+                    );
+                    assert_eq!(e_plan.stats(), e_oracle.stats(), "stats {label}");
+                    // GSA records once per residency state (its first query
+                    // finds the segments resident, later ones destroyed),
+                    // so its queries are warm from the third on. Concurrent
+                    // tests share the process-wide counters, so the growth
+                    // is a lower bound.
+                    let first_warm = if design.reload_per_query() { 2 } else { 1 };
+                    if round >= first_warm {
+                        assert!(
+                            hits >= segments as u64,
+                            "warm query found {hits} tapes for {segments} lanes ({label})"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -321,3 +321,71 @@ fn per_query_failures_resolve_only_their_own_ticket() {
     ));
     assert!(tail.wait().unwrap().report.validated);
 }
+
+/// A served query generates nothing from `ExecConfig::seed`, so specs
+/// differing only in seed share one affinity class, one batch and one
+/// pooled session, and each reply still equals its own spec's oracle.
+#[test]
+fn seeds_share_one_affinity_and_one_batch() {
+    let add4 = registry_lut(WorkloadId::Add4);
+    let mut server = Server::new(ServeConfig {
+        workers: 2,
+        batch_slots: 32,
+    });
+    let specs: Vec<QuerySpec> = (0..8u64)
+        .map(|seed| {
+            let mut config = ExecConfig::measurement(DesignKind::Gmc);
+            config.seed = 0x5eed_0000 + seed * 7919;
+            QuerySpec {
+                config,
+                lut: Arc::clone(&add4),
+                inputs: vec![seed, 2 * seed + 1, 255 - seed],
+            }
+        })
+        .collect();
+    let tickets: Vec<Ticket> = specs.iter().map(|s| server.enqueue(s.clone())).collect();
+    server.flush();
+    let stats = server.stats();
+    assert_eq!(stats.affinities, 1, "the seed must not split affinities");
+    assert_eq!(stats.batches, 1);
+    assert_eq!(stats.max_batch, specs.len());
+    for (s, t) in specs.iter().zip(tickets) {
+        let (values, report) = serial_oracle(s).unwrap();
+        let reply = t.wait().unwrap();
+        assert_eq!(reply.values, values);
+        assert_eq!(reply.report, report);
+        assert!(reply.report.validated);
+    }
+}
+
+/// Large tables on row counts that are not powers of two: a segment
+/// covers the largest power-of-two row prefix (512 of 1000 or 600
+/// rows), so the serve path's subarray floor must count 512-row
+/// segments, as the store does.
+#[test]
+fn large_luts_on_non_power_of_two_row_counts_are_served() {
+    for (lut, rows) in [
+        (
+            Lut::from_fn("tone1000", 12, 8, |x| x >> 4).unwrap(),
+            1000u16,
+        ),
+        (pluto_repro::core::lut::catalog::mul(8).unwrap(), 600),
+    ] {
+        let mut config = ExecConfig::measurement(DesignKind::Gmc);
+        config.rows_per_subarray = rows;
+        let n = lut.len() as u64;
+        let spec = QuerySpec {
+            config,
+            lut: Arc::new(lut),
+            inputs: vec![0, n - 1, n / 3, n / 2 + 5],
+        };
+        let (values, report) = serial_oracle(&spec).unwrap();
+        assert!(report.validated, "{rows} rows");
+        let mut server = Server::with_workers(1);
+        let ticket = server.enqueue(spec.clone());
+        server.flush();
+        let reply = ticket.wait().unwrap();
+        assert_eq!(reply.values, values, "{rows} rows");
+        assert_eq!(reply.report, report, "{rows} rows");
+    }
+}
