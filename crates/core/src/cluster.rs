@@ -7,8 +7,8 @@
 //! LUT-based PIM") stresses that scalability lives or dies on exploiting
 //! independent parallel units. The harness mirrors that at the host
 //! level: independent `(ExecConfig, Workload)` measurement jobs fan out
-//! across a pool of OS worker threads, each worker owning a keyed cache
-//! of per-configuration machines, while results come back in
+//! across a pool of OS worker threads, each worker keeping one session
+//! for the configuration it last ran, while results come back in
 //! **deterministic submission order** — bit-identical to running the same
 //! jobs serially through a [`Session`].
 //!
@@ -18,8 +18,8 @@
 //! its affinity batches onto specific lanes, and an idle worker steals
 //! from the back of a busy lane — so a small latency-sensitive serve
 //! batch never waits behind another lane's large sweep. The same worker
-//! pool executes both job flavors (the internal `Job` enum), sharing one
-//! per-configuration machine pool.
+//! pool executes both job flavors (the internal `Job` enum) through one
+//! function, so both share each worker's session.
 //!
 //! Three properties make the pool safe to put under every figure sweep:
 //!
@@ -32,13 +32,14 @@
 //!    index, and sharded jobs reduce their shard reports in ascending
 //!    shard order ([`CostReport::absorb`]), fixing the floating-point
 //!    summation order.
-//! 3. **Machine pooling.** Workers keep one [`Session`] (and therefore
-//!    one machine) per distinct *effective* configuration — the
-//!    submitted [`ExecConfig`] with its subarray floor raised to the
-//!    workload's [`Workload::min_subarrays`], exactly the geometry
-//!    [`Session::run`] sizes its machine to — so repeat jobs on a pooled
-//!    geometry skip machine construction and controller-layout
-//!    validation entirely.
+//! 3. **Bounded reuse.** Each worker holds at most one [`Session`]: it
+//!    keeps it while consecutive jobs share an [`ExecConfig`] and
+//!    replaces it when the next job's differs, so a long sweep over many
+//!    configurations holds one machine per worker, not one per
+//!    configuration. Reuse saves only session construction:
+//!    [`Session::run`] widens the subarray floor to the workload's
+//!    [`Workload::min_subarrays`] and resets the machine in place when
+//!    that geometry repeats, rebuilding it otherwise.
 //!
 //! ```
 //! use pluto_core::cluster::Cluster;
@@ -78,7 +79,6 @@ use crate::deque::{Pop, StealDeques};
 use crate::error::PlutoError;
 use crate::session::{ConfigKey, CostReport, ExecConfig, Session, Workload};
 use sim_support::{SeedableRng, StdRng};
-use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
@@ -94,9 +94,8 @@ pub(crate) struct ShardJob {
 
 /// What a worker can pull off a deque lane: a batch-mode shard (the
 /// `submit`/`run` path) or a streaming serve batch injected by
-/// [`crate::serve::Server`]. Both run on the same per-worker machine
-/// pool, so a serve batch lands on sessions the batch path warmed and
-/// vice versa.
+/// [`crate::serve::Server`]. Both run on the worker's one session, so a
+/// serve batch reuses a session the batch path left and vice versa.
 pub(crate) enum Job {
     /// A shard of a submitted batch job; its result flows back through
     /// the cluster's result channel.
@@ -120,8 +119,8 @@ type ShardResult = (usize, usize, Result<CostReport, PlutoError>);
 /// serial-identical results. See the [module docs](self) for the
 /// determinism contract.
 ///
-/// Workers live as long as the cluster, and their per-[`ExecConfig`]
-/// machine caches persist across [`Cluster::run`] batches, so a figure
+/// Workers live as long as the cluster, each keeping the session of the
+/// last [`ExecConfig`] it ran across [`Cluster::run`] batches, so a figure
 /// binary can reuse one cluster for every sweep it prints — and the
 /// streaming [`crate::serve::Server`] front-end reuses the same pool for
 /// its query traffic.
@@ -174,12 +173,6 @@ impl Cluster {
             pending: Vec::new(),
             next_lane: 0,
         }
-    }
-
-    /// Spawns one worker per available CPU (what the figure binaries use
-    /// unless `--workers N` / `PLUTO_WORKERS` overrides it).
-    pub fn with_default_workers() -> Self {
-        Cluster::new(default_workers())
     }
 
     /// Number of worker threads in the pool.
@@ -376,49 +369,33 @@ pub fn default_workers() -> usize {
 }
 
 fn worker_main(deques: &StealDeques<Job>, lane: usize, results: &mpsc::Sender<ShardResult>) {
-    // The keyed machine pool: one live Session (machine + config) per
-    // distinct ExecConfig this worker has executed. Sessions reset their
-    // machine in place between runs, so repeat configurations never pay
-    // machine construction again. Batch shards and serve batches share
-    // the pool.
-    let mut pool: HashMap<ConfigKey, Session> = HashMap::new();
+    // The worker's one session, shared by batch shards and serve
+    // batches: kept while consecutive jobs share a configuration and
+    // replaced when the next job's differs (see `run_pooled`).
+    let mut slot: Option<Session> = None;
     loop {
         let job = match deques.pop(lane) {
             Pop::Item { item, .. } => item,
             Pop::Closed => return,
         };
         match job {
-            Job::Shard(job) => {
-                // Contain workload panics: report the job failed and keep
-                // the worker alive, so `Cluster::run` surfaces an error
-                // instead of deadlocking on a shard that never reports.
-                let (seq, shard) = (job.seq, job.shard);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_shard(&mut pool, job.config, job.workload)
-                }))
-                .unwrap_or_else(|payload| {
-                    // A panic may have left the pooled sessions
-                    // mid-mutation; drop them (the next job rebuilds its
-                    // machine).
-                    pool.clear();
-                    Err(PlutoError::WorkerPanic {
-                        reason: panic_message(payload.as_ref()),
-                    })
-                });
-                if results.send((seq, shard, outcome)).is_err() {
+            Job::Shard(mut job) => {
+                let outcome = run_pooled(&mut slot, &job.config, job.workload.as_mut());
+                if results.send((job.seq, job.shard, outcome)).is_err() {
                     return; // cluster handle dropped
                 }
             }
             Job::Serve(batch) => {
                 // Serve batches reply on their own per-ticket channels
-                // and catch per-query panics internally; a panic escaping
-                // the batch machinery itself still must not kill the
-                // worker (the batch's drop guards resolve its tickets).
+                // and run each entry through `run_pooled`; a panic
+                // escaping the batch machinery itself still must not kill
+                // the worker (the batch's drop guards resolve its
+                // tickets).
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    crate::serve::execute_batch(&mut pool, batch);
+                    crate::serve::execute_batch(&mut slot, batch);
                 }));
                 if caught.is_err() {
-                    pool.clear();
+                    slot = None;
                 }
             }
         }
@@ -435,29 +412,40 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_shard(
-    pool: &mut HashMap<ConfigKey, Session>,
-    config: ExecConfig,
-    mut workload: Box<dyn Workload>,
+/// Runs one job on a worker's session: the one in `slot` if it was built
+/// from the same configuration, a new one otherwise. Reuse saves only the
+/// session's construction; [`Session::run`] still resets or rebuilds the
+/// machine before every run, so the report is the serial one either way.
+///
+/// A workload panic is contained: the job fails with
+/// [`PlutoError::WorkerPanic`], the possibly torn session is dropped, and
+/// the worker stays alive, so `Cluster::run` and serve tickets surface an
+/// error instead of waiting on a job that never reports.
+pub(crate) fn run_pooled(
+    slot: &mut Option<Session>,
+    config: &ExecConfig,
+    workload: &mut dyn Workload,
 ) -> Result<CostReport, PlutoError> {
-    // Pool by the *effective* configuration — the subarray floor raised
-    // to the workload's demand, exactly what `Session::run` sizes its
-    // machine to. Keying on the raw config would make the session
-    // rebuild its machine whenever consecutive jobs' `min_subarrays`
-    // differ; keying on the effective one lets every repeat geometry
-    // take the reset path. Reports are unaffected: the session's run
-    // applies the same widening either way.
-    let mut effective = config;
-    effective.subarrays_per_bank = effective.subarrays_per_bank.max(workload.min_subarrays());
-    let session = match pool.entry(ConfigKey::of(&effective)) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(v) => v.insert(Session::with_config(effective)?),
-    };
-    let report = session.run(workload.as_mut())?;
-    // Keep pooled sessions lean: the cluster, not the session, owns
-    // result aggregation (and `clear_reports` keeps the allocation).
-    session.clear_reports();
-    Ok(report)
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let key = ConfigKey::of(config);
+        if slot.as_ref().map(|s| ConfigKey::of(s.config())) != Some(key) {
+            // Release the old machine before building the next.
+            *slot = None;
+            *slot = Some(Session::with_config(config.clone())?);
+        }
+        let session = slot.as_mut().expect("session ensured above");
+        let report = session.run(workload)?;
+        // The caller, not the session, owns result aggregation (and
+        // `clear_reports` keeps the allocation).
+        session.clear_reports();
+        Ok(report)
+    }))
+    .unwrap_or_else(|payload| {
+        *slot = None;
+        Err(PlutoError::WorkerPanic {
+            reason: panic_message(payload.as_ref()),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -474,6 +462,7 @@ mod tests {
         inputs: Vec<u64>,
         pinned: bool,
         fail: bool,
+        lut_name: &'static str,
     }
 
     impl Square {
@@ -482,6 +471,7 @@ mod tests {
                 inputs: (0..n).map(|i| i % 256).collect(),
                 pinned: false,
                 fail: false,
+                lut_name: "sq",
             }
         }
     }
@@ -502,7 +492,7 @@ mod tests {
                     reason: "injected".into(),
                 });
             }
-            let lut = Lut::from_fn("sq", 8, 16, |x| x * x)?;
+            let lut = Lut::from_fn(self.lut_name, 8, 16, |x| x * x)?;
             let out = session.machine_mut().apply(&lut, &self.inputs)?.values;
             Ok(encode_words(&out))
         }
@@ -520,6 +510,7 @@ mod tests {
                         inputs: c.to_vec(),
                         pinned: true,
                         fail: self.fail,
+                        lut_name: self.lut_name,
                     }) as Box<dyn Workload>
                 })
                 .collect()
@@ -610,10 +601,40 @@ mod tests {
         let config = ExecConfig::measurement(DesignKind::Gmc);
         cluster.submit(config.clone(), Box::new(Square::new(40)));
         let first = cluster.run().unwrap().remove(0);
-        // Second batch on the same config hits the worker's machine pool.
+        // Second batch on the same config reuses a worker's session.
         cluster.submit(config, Box::new(Square::new(40)));
         let second = cluster.run().unwrap().remove(0);
         assert_eq!(first, second, "pooled machine perturbed the report");
+    }
+
+    #[test]
+    fn a_config_switch_releases_the_previous_session() {
+        // A LUT name and row width no other test uses, so this test alone
+        // holds references to the cached partition.
+        let name = "cluster-switch-sq";
+        let mut a = ExecConfig::measurement(DesignKind::Gmc);
+        a.row_bytes = 384;
+        let mut square = Square::new(40);
+        square.lut_name = name;
+        let mut cluster = Cluster::new(1);
+        cluster.submit(a.clone(), Box::new(square));
+        assert!(cluster.run().unwrap()[0].validated);
+        cluster.submit(
+            ExecConfig::measurement(DesignKind::Bsa),
+            Box::new(Square::new(10)),
+        );
+        assert!(cluster.run().unwrap()[0].validated);
+
+        let lut = Lut::from_fn(name, 8, 16, |x| x * x).unwrap();
+        let (segment_rows, _) =
+            crate::partition::segment_shape(lut.len(), usize::from(a.rows_per_subarray));
+        let partition = crate::store::packed_partition(&lut, a.row_bytes, segment_rows).unwrap();
+        // The cache's reference and ours; config A's machine is gone.
+        assert!(
+            Arc::strong_count(&partition) <= 2,
+            "config A's session still holds its store: {} references",
+            Arc::strong_count(&partition)
+        );
     }
 
     #[test]

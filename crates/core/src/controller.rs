@@ -22,7 +22,9 @@ use crate::isa::{Instruction, Program, RowReg, ShiftDir, SubarrayReg};
 use crate::lut::{pack_slots, slots_per_row, unpack_slots, Lut};
 use crate::partition::PlutoStore;
 use crate::query::QueryScratch;
-use pluto_dram::{BankId, DramConfig, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId};
+use pluto_dram::{
+    BankId, DramConfig, DramError, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId,
+};
 use std::collections::HashMap;
 
 /// Rows reserved at the top of the data subarray for Ambit operations.
@@ -78,18 +80,41 @@ pub struct Controller {
     scratch: QueryScratch,
 }
 
+/// Checks that `cfg` can host the controller layout: five compute rows
+/// at the top of data subarray 0 of bank 0, and at least one pLUTo/master
+/// subarray pair beside it. [`Controller::new`] and machine construction
+/// share this check, so both reject a geometry with the same error.
+///
+/// # Errors
+/// [`PlutoError::AllocationFailed`] if the geometry is too small, or the
+/// out-of-bounds DRAM error of the all-ones control row if bank 0 does
+/// not exist.
+pub(crate) fn check_layout(cfg: &DramConfig) -> Result<(), PlutoError> {
+    let rows = cfg.rows_per_subarray;
+    if rows < 16 || cfg.subarrays_per_bank < 3 {
+        return Err(PlutoError::AllocationFailed {
+            reason: "geometry too small for controller layout".into(),
+        });
+    }
+    let c1 = RowLoc {
+        bank: BankId(0),
+        subarray: SubarrayId(0),
+        row: RowId(rows - 5),
+    };
+    if !cfg.contains(c1) {
+        return Err(DramError::OutOfBounds { loc: c1 }.into());
+    }
+    Ok(())
+}
+
 impl Controller {
     /// Creates a controller for `design` over a fresh module of `cfg`.
     ///
     /// # Errors
     /// Fails if the geometry is too small for the compute region.
     pub fn new(cfg: DramConfig, design: DesignKind) -> Result<Self, PlutoError> {
+        check_layout(&cfg)?;
         let rows = cfg.rows_per_subarray;
-        if rows < 16 || cfg.subarrays_per_bank < 3 {
-            return Err(PlutoError::AllocationFailed {
-                reason: "geometry too small for controller layout".into(),
-            });
-        }
         let mut engine = Engine::new(cfg.clone());
         let compute = ComputeRows {
             t0: RowId(rows - 1),

@@ -35,8 +35,8 @@
 //!   [`ExecConfig`]s build [`Session`]s that run pluggable [`Workload`]
 //!   scenarios and accumulate [`CostReport`]s.
 //! * [`cluster`] — the sharded parallel executor (`DESIGN.md` §6): a
-//!   deterministic multi-worker [`Cluster`] with per-configuration
-//!   machine pooling, serial-identical results in submission order.
+//!   deterministic multi-worker [`Cluster`] whose workers each keep one
+//!   session, serial-identical results in submission order.
 //! * `deque` (crate-internal) — per-worker work-stealing deques, the
 //!   scheduling substrate under both the cluster and the serve front-end.
 //! * [`serve`] — the streaming query service (`DESIGN.md` §9): a

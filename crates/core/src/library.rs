@@ -96,8 +96,7 @@ impl PlutoMachine {
         design: DesignKind,
         backend: TimingBackend,
     ) -> Result<Self, PlutoError> {
-        // Validate the layout once up front.
-        Controller::new(cfg.clone(), design)?;
+        crate::controller::check_layout(&cfg)?;
         Ok(PlutoMachine {
             engine: Engine::new(cfg.clone()).with_timing_backend(backend),
             cfg,
@@ -189,10 +188,10 @@ impl PlutoMachine {
     /// stores, and zeroed totals.
     ///
     /// A reset machine is bit-identical in behavior to a freshly built
-    /// one, but skips the controller-layout validation that
-    /// [`PlutoMachine::new`] performs — this is what lets the cluster
-    /// worker pool keep one machine per configuration and reuse it across
-    /// jobs without perturbing any measurement.
+    /// one, but skips the controller-layout check that
+    /// [`PlutoMachine::new`] performs — this is what lets a session (and
+    /// so a cluster worker) reuse one machine across runs of the same
+    /// configuration without perturbing any measurement.
     pub fn reset(&mut self) {
         self.engine = Engine::new(self.cfg.clone()).with_timing_backend(self.backend);
         self.totals = AggregateCost::default();

@@ -53,8 +53,9 @@ pub struct PlanStats {
     /// Lanes that recorded a new tape while issuing.
     pub misses: u64,
     /// Lanes that ran the issuing path because a legality gate failed
-    /// (trace on, warm tFAW window, stale store, or plans disabled on a
-    /// differential-oracle store).
+    /// (trace on, warm tFAW window or stale store). Stores with plans
+    /// disabled (the differential oracle) issue every lane without
+    /// counting it here.
     pub fallbacks: u64,
     /// Recorded tapes currently alive (they die with their packed-row
     /// cache entry, or with the last store still holding its partition).

@@ -20,11 +20,11 @@
 //!    [`Ticket::wait`] (or holds a bag of tickets and waits for each in
 //!    arrival order).
 //! 2. **Affinity coalescing.** Queries are grouped into shard-sized
-//!    batches keyed by `(effective ExecConfig, LUT identity)` — the
-//!    same key the cluster workers pool their [`Session`]s under, so
-//!    every query of a batch lands on a machine already sized and reset
-//!    for it, and repeat LUTs hit the process-wide packed-row cache
-//!    ([`crate::store`]). A batch flushes when it reaches
+//!    batches keyed by `(effective ExecConfig, LUT identity)`. Every
+//!    query of a batch shares one configuration, so the executing
+//!    worker builds at most one session for the batch and resets its
+//!    machine between queries, and repeat LUTs hit the process-wide
+//!    packed-row cache ([`crate::store`]). A batch flushes when it reaches
 //!    [`ServeConfig::batch_slots`] entries or on [`Server::flush`] /
 //!    [`Server::drain`].
 //! 3. **Work-stealing dispatch.** Each affinity class has a *home lane*
@@ -74,7 +74,7 @@
 //! # }
 //! ```
 
-use crate::cluster::{default_workers, panic_message, Cluster};
+use crate::cluster::{default_workers, run_pooled, Cluster};
 use crate::error::PlutoError;
 use crate::lut::Lut;
 use crate::partition::segment_shape;
@@ -263,7 +263,7 @@ struct ServeEntry {
 /// A coalesced, dispatch-ready batch of same-affinity queries — the
 /// serve flavor of [`crate::cluster::Job`]. All entries share one
 /// effective configuration and LUT, so the executing worker runs the
-/// whole batch on one pooled session.
+/// whole batch on its one session.
 pub(crate) struct ServeBatch {
     /// The effective configuration (`effective_config`).
     config: ExecConfig,
@@ -275,7 +275,7 @@ pub(crate) struct ServeBatch {
 }
 
 /// Identity of an affinity class: queries whose batches may share a
-/// pooled session and packed LUT rows.
+/// worker's session and packed LUT rows.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct AffinityKey {
     config: ConfigKey,
@@ -502,7 +502,7 @@ impl Drop for Server {
 }
 
 /// `config` with its subarray floor raised to what a query against
-/// `lut` needs, in the serve path and its oracle alike, so pooling keys
+/// `lut` needs, in the serve path and its oracle alike, so affinity keys
 /// match what [`Session::run`] sizes the machine to.
 fn effective_config(mut config: ExecConfig, lut: &Lut) -> ExecConfig {
     let floor = min_subarrays_for(lut, config.rows_per_subarray);
@@ -588,12 +588,13 @@ pub fn serial_oracle(spec: &QuerySpec) -> Result<(Vec<u64>, CostReport), PlutoEr
     Ok((workload.out, report))
 }
 
-/// Executes a coalesced batch on a worker's pooled sessions (called from
-/// the cluster worker loop). Entries run — and reply — in arrival
-/// order; a per-entry panic resolves that entry's ticket with
-/// [`PlutoError::WorkerPanic`] and drops the (possibly torn) pooled
-/// sessions, leaving the rest of the batch to run on rebuilt machines.
-pub(crate) fn execute_batch(pool: &mut HashMap<ConfigKey, Session>, batch: ServeBatch) {
+/// Executes a coalesced batch on a worker's session (called from the
+/// cluster worker loop). Entries run — and reply — in arrival order,
+/// each through [`crate::cluster::run_pooled`]: a per-entry panic
+/// resolves that entry's ticket with [`PlutoError::WorkerPanic`] and
+/// drops the (possibly torn) session, leaving the rest of the batch to
+/// run on a rebuilt one.
+pub(crate) fn execute_batch(slot: &mut Option<Session>, batch: ServeBatch) {
     let ServeBatch {
         config,
         lut,
@@ -611,43 +612,19 @@ pub(crate) fn execute_batch(pool: &mut HashMap<ConfigKey, Session>, batch: Serve
     for entry in entries {
         let ServeEntry { seq, inputs, reply } = entry;
         workload.inputs = inputs;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_query(pool, &config, &mut workload)
-        }))
-        .unwrap_or_else(|payload| {
-            pool.clear();
-            Err(PlutoError::WorkerPanic {
-                reason: panic_message(payload.as_ref()),
-            })
-        });
+        // `config` is already effective (subarray floor raised at
+        // enqueue), so `Session::run` resets rather than rebuilds the
+        // machine on repeat geometries.
+        let outcome = run_pooled(slot, &config, &mut workload);
         // A dropped ticket (caller gave up) is fine; everyone else gets
         // their reply before the done-guard releases the drain barrier.
-        let _ = reply.send(outcome.map(|(values, report)| QueryReply {
+        let _ = reply.send(outcome.map(|report| QueryReply {
             seq,
-            values,
+            values: std::mem::take(&mut workload.out),
             report,
         }));
     }
     drop(done);
-}
-
-fn run_query(
-    pool: &mut HashMap<ConfigKey, Session>,
-    config: &ExecConfig,
-    workload: &mut QueryWorkload,
-) -> Result<(Vec<u64>, CostReport), PlutoError> {
-    // `config` is already effective (subarray floor raised at enqueue),
-    // so this key matches the batch path's pooling and `Session::run`
-    // takes the cheap reset branch on repeat geometries.
-    let session = match pool.entry(ConfigKey::of(config)) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(v) => {
-            v.insert(Session::with_config(config.clone())?)
-        }
-    };
-    let report = session.run(workload)?;
-    session.clear_reports();
-    Ok((std::mem::take(&mut workload.out), report))
 }
 
 #[cfg(test)]

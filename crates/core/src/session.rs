@@ -195,10 +195,10 @@ impl ExecConfig {
     }
 }
 
-/// Hashable identity of an [`ExecConfig`] for keyed machine/session pools
-/// (`f64` fields keyed by their bit patterns). Both the cluster's
-/// per-worker machine pools and the serve path's affinity coalescer key
-/// on this.
+/// Hashable identity of an [`ExecConfig`] (`f64` fields keyed by their
+/// bit patterns). A cluster worker compares it to decide whether its
+/// session can run the next job, and the serve path's affinity
+/// coalescer keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct ConfigKey {
     design: DesignKind,
@@ -219,7 +219,7 @@ impl ConfigKey {
     pub(crate) fn of(config: &ExecConfig) -> Self {
         // Exhaustive destructuring: adding a field to ExecConfig must
         // fail to compile here, not silently alias distinct configs to
-        // one pooled machine.
+        // one worker session.
         let ExecConfig {
             design,
             kind,
@@ -586,11 +586,6 @@ impl Session {
         &mut self.machine
     }
 
-    /// Consumes the session, returning its machine.
-    pub fn into_machine(self) -> PlutoMachine {
-        self.machine
-    }
-
     /// Reports accumulated by [`Session::run`] / [`Session::run_all`], in
     /// run order.
     pub fn reports(&self) -> &[CostReport] {
@@ -603,7 +598,7 @@ impl Session {
     }
 
     /// Drops the accumulated reports in place, keeping the allocation.
-    /// The pooled-worker hot paths (cluster shards, serve batches) call
+    /// The cluster-worker hot paths (batch shards, serve batches) call
     /// this once per query, where [`Session::take_reports`]'s fresh
     /// `Vec` would churn the allocator.
     pub fn clear_reports(&mut self) {
@@ -619,8 +614,8 @@ impl Session {
     /// machine left by the previous run, the session *resets* that
     /// machine in place instead of rebuilding it — bit-identical
     /// behavior (see [`PlutoMachine::reset`]) without re-validating the
-    /// controller layout, which is what makes pooled cluster workers
-    /// cheap.
+    /// controller layout, which is what makes a cluster worker's reused
+    /// session cheap.
     ///
     /// # Errors
     /// Propagates machine construction and workload errors.

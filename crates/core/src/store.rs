@@ -43,7 +43,8 @@ pub struct PackedCacheStats {
 /// different LUTs reusing a name can never alias.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PackedKey {
-    name: String,
+    /// The LUT's own shared name, so building a key allocates nothing.
+    name: Arc<str>,
     input_bits: u32,
     output_bits: u32,
     /// Effective slot width — distinct from `max(input, output)` when a
@@ -153,7 +154,7 @@ fn packed_cache() -> &'static Mutex<PackedCache> {
 /// cluster workers' loads.
 fn packed_entry(lut: &Lut, row_bytes: usize) -> Arc<PackedEntry> {
     let key = PackedKey {
-        name: lut.name().to_string(),
+        name: Arc::clone(lut.name_shared()),
         input_bits: lut.input_bits(),
         output_bits: lut.output_bits(),
         slot_bits: lut.slot_bits(),

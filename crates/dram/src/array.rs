@@ -608,23 +608,6 @@ impl MemoryArray {
         *self.sa(loc.bank, loc.subarray).row_slot(loc.row) = Some(Arc::new(shifted));
         Ok(())
     }
-
-    /// DRISA-style whole-row byte shift ("left" = toward byte 0).
-    ///
-    /// # Errors
-    /// Fails if `loc` is out of bounds.
-    pub fn shift_row_bytes(
-        &mut self,
-        loc: RowLoc,
-        left: bool,
-        amount: usize,
-    ) -> Result<(), DramError> {
-        self.check(loc)?;
-        let data = self.row(loc)?;
-        let shifted = shift_bytes(&data, left, amount);
-        *self.sa(loc.bank, loc.subarray).row_slot(loc.row) = Some(Arc::new(shifted));
-        Ok(())
-    }
 }
 
 /// Validates a `count`-row range starting at `first` within one
@@ -765,21 +748,6 @@ pub(crate) fn shift_bits(data: &[u8], left: bool, amount: u32) -> Vec<u8> {
             };
             out[i] = hi | lo;
         }
-    }
-    out
-}
-
-/// Shifts a byte slice by whole bytes ("left" = toward index 0).
-pub(crate) fn shift_bytes(data: &[u8], left: bool, amount: usize) -> Vec<u8> {
-    let n = data.len();
-    let mut out = vec![0u8; n];
-    if amount >= n {
-        return out;
-    }
-    if left {
-        out[..n - amount].copy_from_slice(&data[amount..]);
-    } else {
-        out[amount..].copy_from_slice(&data[..n - amount]);
     }
     out
 }
@@ -966,13 +934,6 @@ mod tests {
         let mask_first = 0xFFu8 >> 5;
         assert_eq!(back[0] & mask_first, data[0] & mask_first);
         assert_eq!(&back[1..], &data[1..]);
-    }
-
-    #[test]
-    fn byte_shift() {
-        assert_eq!(shift_bytes(&[1, 2, 3, 4], true, 1), vec![2, 3, 4, 0]);
-        assert_eq!(shift_bytes(&[1, 2, 3, 4], false, 2), vec![0, 0, 1, 2]);
-        assert_eq!(shift_bytes(&[1, 2], false, 5), vec![0, 0]);
     }
 
     #[test]

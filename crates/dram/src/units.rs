@@ -198,11 +198,6 @@ impl PicoJoules {
         self.0 / 1e3
     }
 
-    /// Returns the energy in microjoules.
-    pub fn as_uj(self) -> f64 {
-        self.0 / 1e6
-    }
-
     /// Returns the energy in millijoules.
     pub fn as_mj(self) -> f64 {
         self.0 / 1e9

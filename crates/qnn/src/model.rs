@@ -162,34 +162,6 @@ impl QuantModel {
         Ok(act)
     }
 
-    /// Pins every LUT the pipeline will query co-resident on the machine
-    /// before any activation streams through
-    /// ([`PlutoMachine::preload`]); returns the total subarrays claimed.
-    ///
-    /// # Errors
-    /// Propagates machine errors.
-    pub fn preload_on(&self, m: &mut PlutoMachine, path: GemvPath) -> Result<u16, PlutoError> {
-        let mut claimed = 0u16;
-        for layer in &self.layers {
-            let mut luts = Vec::new();
-            match path {
-                GemvPath::Direct => luts.push(smul_lut(layer.linear.width())?),
-                GemvPath::NibblePlane => luts.push(pluto_core::lut::catalog::mul(4)?),
-            }
-            if let Some(r) = &layer.requant {
-                luts.push(r.lut()?);
-            }
-            for lut in luts {
-                let resident = m.resident_luts();
-                let claim = m.preload(&lut)?;
-                if m.resident_luts() > resident {
-                    claimed += claim;
-                }
-            }
-        }
-        Ok(claimed)
-    }
-
     /// Bulk LUT lookups one full forward pass issues on `path`.
     #[must_use]
     pub fn lut_lookups(&self, path: GemvPath) -> u64 {
